@@ -411,8 +411,8 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--cluster", type=int, default=None, metavar="N",
         help="sharded mode: boot N in-process shard servers on loopback "
-        "ports behind a coordinator and speak the cluster protocol "
-        "(docs/cluster.md)",
+        "ports behind a coordinator; the admission, cache and SLO flags "
+        "apply to the coordinator and every shard (docs/cluster.md)",
     )
     parser.add_argument(
         "--shard-timeout-s", type=float, default=5.0, metavar="S",
@@ -514,7 +514,6 @@ def _run_serve(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.serving.server import make_tcp_server, serve_stdio
     from repro.serving.service import ServeConfig, SkylineService
 
     config = ServeConfig(
@@ -572,9 +571,7 @@ def _run_serve(argv: List[str]) -> int:
     atexit.register(cleanup.run)
     try:
         if args.cluster is not None:
-            code = _serve_cluster(args, config)
-            if code:
-                return code
+            code = _serve_cluster(args, config, cleanup)
         else:
             service = SkylineService(config, durability=durability)
             if durability is not None:
@@ -587,23 +584,9 @@ def _run_serve(argv: List[str]) -> int:
                         f"{', torn tail dropped' if report.torn_tail else ''})",
                         file=sys.stderr,
                     )
-            if args.tcp:
-                host, _, port = args.tcp.rpartition(":")
-                try:
-                    server = make_tcp_server(
-                        service, host or "127.0.0.1", int(port)
-                    )
-                except (OSError, ValueError) as exc:
-                    print(f"serve: cannot bind {args.tcp}: {exc}",
-                          file=sys.stderr)
-                    return 2
-                bound = server.server_address
-                print(f"serving on {bound[0]}:{bound[1]}", file=sys.stderr)
-                cleanup.server = server
-                with server:
-                    server.serve_forever()
-            else:
-                serve_stdio(service)
+            code = _serve_loop(service, args.tcp, "serving", cleanup=cleanup)
+        if code:
+            return code
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         pass
     finally:
@@ -611,6 +594,36 @@ def _run_serve(argv: List[str]) -> int:
         atexit.unregister(cleanup.run)
         if code:
             return code
+    return 0
+
+
+def _serve_loop(
+    service: Any,
+    tcp: str | None,
+    banner: str,
+    *,
+    prog: str = "serve",
+    cleanup: "_ServeCleanup | None" = None,
+) -> int:
+    """Run ``service`` over stdio, or over TCP at ``tcp`` after printing
+    ``"<banner> on HOST:PORT"`` to stderr; returns the exit code."""
+    from repro.serving.server import make_tcp_server, serve_stdio
+
+    if not tcp:
+        serve_stdio(service)
+        return 0
+    host, _, port = tcp.rpartition(":")
+    try:
+        server = make_tcp_server(service, host or "127.0.0.1", int(port))
+    except (OSError, ValueError) as exc:
+        print(f"{prog}: cannot bind {tcp}: {exc}", file=sys.stderr)
+        return 2
+    bound = server.server_address
+    print(f"{banner} on {bound[0]}:{bound[1]}", file=sys.stderr)
+    if cleanup is not None:
+        cleanup.server = server
+    with server:
+        server.serve_forever()
     return 0
 
 
@@ -687,28 +700,19 @@ class _ServeCleanup:
         return code
 
 
-def _serve_cluster(args: argparse.Namespace, shard_config) -> int:
-    """The ``repro serve --cluster N`` body: LocalCluster + coordinator."""
-    from repro.serving.cluster import (
-        ClusterConfig,
-        ClusterCoordinator,
-        LocalCluster,
-        handle_cluster_request,
-    )
-    from repro.serving.server import make_tcp_server, serve_stdio
+def _serve_cluster(
+    args: argparse.Namespace, config: Any, cleanup: "_ServeCleanup"
+) -> int:
+    """The ``repro serve --cluster N`` body: LocalCluster + coordinator,
+    both under the one ``ServeConfig``."""
+    from repro.serving.cluster import ClusterConfig, ClusterCoordinator, LocalCluster
 
     if args.cluster < 1:
         print(f"serve: --cluster must be >= 1, got {args.cluster}",
               file=sys.stderr)
         return 2
     cluster_config = ClusterConfig(
-        kernel=args.kernel,
-        shard_timeout_s=args.shard_timeout_s,
-        cache_entries=args.cache_size,
-        default_deadline_s=args.deadline_s,
-        slo_latency_threshold_s=args.slo_latency_s,
-        slo_latency_target=args.slo_latency_target,
-        slo_availability_target=args.slo_availability_target,
+        kernel=args.kernel, shard_timeout_s=args.shard_timeout_s
     )
     if args.filter_k is not None:
         cluster_config.filter_k = args.filter_k
@@ -719,41 +723,24 @@ def _serve_cluster(args: argparse.Namespace, shard_config) -> int:
         return 2
     cluster = LocalCluster(
         args.cluster,
-        config=shard_config,
+        config=config,
         data_dir=args.data_dir,
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
     )
     coordinator = ClusterCoordinator(
-        cluster.addresses(), config=cluster_config
+        cluster.addresses(), config=cluster_config, serve_config=config
     )
     try:
-        if args.tcp:
-            host, _, port = args.tcp.rpartition(":")
-            try:
-                server = make_tcp_server(
-                    coordinator,
-                    host or "127.0.0.1",
-                    int(port),
-                    handler=handle_cluster_request,
-                )
-            except (OSError, ValueError) as exc:
-                print(f"serve: cannot bind {args.tcp}: {exc}", file=sys.stderr)
-                return 2
-            bound = server.server_address
-            print(
-                f"serving {args.cluster}-shard cluster on "
-                f"{bound[0]}:{bound[1]}",
-                file=sys.stderr,
-            )
-            with server:
-                server.serve_forever()
-        else:
-            serve_stdio(coordinator, handler=handle_cluster_request)
+        return _serve_loop(
+            coordinator,
+            args.tcp,
+            f"serving {args.cluster}-shard cluster",
+            cleanup=cleanup,
+        )
     finally:
         coordinator.close()
         cluster.close()
-    return 0
 
 
 def _run_coordinator(argv: List[str]) -> int:
@@ -762,7 +749,7 @@ def _run_coordinator(argv: List[str]) -> int:
         prog="repro-skyline coordinator",
         description=(
             "Cluster coordinator over already-running `repro serve --tcp` "
-            "shard servers: JSON-lines cluster protocol on stdio (default) "
+            "shard servers: the serving protocol on stdio (default) "
             "or a TCP socket (docs/cluster.md)"
         ),
     )
@@ -801,7 +788,7 @@ def _run_coordinator(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--cache-size", type=int, default=256, metavar="N",
-        help="cluster result-cache capacity in entries (default 256)",
+        help="versioned result-cache capacity in entries (default 256)",
     )
     parser.add_argument(
         "--deadline-s", type=float, default=None, metavar="S",
@@ -809,57 +796,41 @@ def _run_coordinator(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.serving.cluster import (
-        ClusterConfig,
-        ClusterCoordinator,
-        handle_cluster_request,
-    )
-    from repro.serving.server import make_tcp_server, serve_stdio
+    from repro.serving.cluster import ClusterConfig, ClusterCoordinator
+    from repro.serving.service import ServeConfig
 
     config = ClusterConfig(
         kernel=args.kernel,
         shard_timeout_s=args.shard_timeout_s,
         connect_timeout_s=args.connect_timeout_s,
-        cache_entries=args.cache_size,
-        default_deadline_s=args.deadline_s,
     )
     if args.filter_k is not None:
         config.filter_k = args.filter_k
+    serve_config = ServeConfig(
+        cache_entries=args.cache_size,
+        default_deadline_s=args.deadline_s,
+        kernel=args.kernel,
+    )
     try:
         config.validate()
+        serve_config.validate()
     except ValueError as exc:
         print(f"coordinator: {exc}", file=sys.stderr)
         return 2
-    coordinator = ClusterCoordinator(args.shards, config=config)
+    coordinator = ClusterCoordinator(
+        args.shards, config=config, serve_config=serve_config
+    )
     try:
-        if args.tcp:
-            host, _, port = args.tcp.rpartition(":")
-            try:
-                server = make_tcp_server(
-                    coordinator,
-                    host or "127.0.0.1",
-                    int(port),
-                    handler=handle_cluster_request,
-                )
-            except (OSError, ValueError) as exc:
-                print(f"coordinator: cannot bind {args.tcp}: {exc}",
-                      file=sys.stderr)
-                return 2
-            bound = server.server_address
-            print(
-                f"coordinating {len(args.shards)} shard(s) on "
-                f"{bound[0]}:{bound[1]}",
-                file=sys.stderr,
-            )
-            with server:
-                server.serve_forever()
-        else:
-            serve_stdio(coordinator, handler=handle_cluster_request)
+        return _serve_loop(
+            coordinator,
+            args.tcp,
+            f"coordinating {len(args.shards)} shard(s)",
+            prog="coordinator",
+        )
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
+        return 0
     finally:
         coordinator.close()
-    return 0
 
 
 def _run_top(argv: List[str]) -> int:

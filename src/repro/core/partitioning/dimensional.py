@@ -82,8 +82,14 @@ class DimensionalPartitioner(SpacePartitioner):
         column = points[:, self.dim]
         if self._edges is not None:
             ids = np.searchsorted(self._edges, column, side="right")
+        elif np.isfinite(self._width):
+            # Clip in float space before the integer cast (see
+            # GridPartitioner._cell_coords): past-range values and inf land
+            # in the last slab on every platform.
+            ratio = np.clip(column, 0.0, self._vmax) / self._width
+            ids = np.floor(ratio).astype(np.int64)
         else:
-            ids = np.floor(column / self._width).astype(np.int64)
+            ids = np.zeros(column.shape[0], dtype=np.int64)
         return np.clip(ids, 0, self.num_partitions - 1)
 
     def _detail(self) -> Mapping[str, object]:

@@ -140,7 +140,16 @@ class GridPartitioner(SpacePartitioner):
                 ]
             ).astype(np.int64)
         else:
-            coords = np.floor(points / self._widths).astype(np.int64)
+            # Clip in float space before the integer cast: a value past the
+            # fitted range (up to inf) lands in the last cell on every
+            # platform instead of overflowing the divide and casting inf to
+            # INT64_MIN.  A degenerate axis (infinite width) is one slab.
+            finite = np.isfinite(self._widths)
+            clipped = np.clip(points, 0.0, np.where(finite, self._vmax, 0.0))
+            ratio = np.divide(
+                clipped, self._widths, out=np.zeros_like(clipped), where=finite
+            )
+            coords = np.floor(ratio).astype(np.int64)
         return np.clip(coords, 0, limits)
 
     def _assign(self, points: np.ndarray) -> np.ndarray:

@@ -20,6 +20,9 @@ Design constraints, in priority order:
 3. **Deterministic ids.**  Span/trace ids are per-tracer sequence numbers
    (no UUIDs, no PRNG) so two identical runs produce identical traces up
    to timing.
+4. **Thread-safe.**  The open-span stack is per thread, so a span opened
+   in one thread never parents under another thread's open span, and ids
+   come from atomic counters, so concurrent threads never share one.
 
 The serialized form is one JSON object per line; see
 :func:`Span.to_dict` / :func:`read_trace` for the schema.
@@ -28,7 +31,9 @@ The serialized form is one JSON object per line; see
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, TextIO
@@ -253,10 +258,20 @@ class Tracer:
         self.enabled = enabled
         self.finished: List[Span] = []
         self._keep_spans = keep_spans
-        self._stack: List[Span] = []
+        self._local = threading.local()
         self._captures: List[List[Span]] = []
-        self._next_span = 1
-        self._next_trace = 1
+        # ``next()`` on an ``itertools.count`` is a single C call, so two
+        # threads can never draw the same id.
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
+
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's stack of open spans."""
+        stack: List[Span] | None = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     # -- span lifecycle ---------------------------------------------------------
 
@@ -362,8 +377,9 @@ class Tracer:
         return span
 
     def current_span(self) -> Span | None:
-        """The innermost open span, or ``None`` outside any region."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, or ``None``."""
+        stack = self._stack
+        return stack[-1] if stack else None
 
     # -- capture / flush --------------------------------------------------------
 
@@ -392,21 +408,19 @@ class Tracer:
     ) -> Span:
         """Allocate a span (ids + parentage) without touching the stack."""
         if parent is None:
-            parent = self._stack[-1] if self._stack else None
+            parent = self.current_span()
         if parent is None:
-            trace_id = f"t{self._next_trace}"
-            self._next_trace += 1
+            trace_id = f"t{next(self._trace_ids)}"
         else:
             trace_id = parent.trace_id
         span = Span(
             name=name,
             kind=kind,
             trace_id=trace_id,
-            span_id=f"s{self._next_span}",
+            span_id=f"s{next(self._span_ids)}",
             parent_id=parent.span_id if parent else None,
             start_ns=start_ns if start_ns is not None else now_ns(),
         )
-        self._next_span += 1
         return span
 
     def _open(
@@ -424,10 +438,11 @@ class Tracer:
         span.end_ns = now_ns()
         # Tolerate out-of-order closes (shouldn't happen, but never corrupt
         # the stack if user code leaks a context manager).
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span)
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # pragma: no cover - defensive
+            stack.remove(span)
         self._emit(span)
 
     def _emit(self, span: Span) -> None:

@@ -18,7 +18,8 @@ concurrent queries against it:
   admission control with bounded queueing and load shedding, request
   coalescing (identical in-flight queries share one computation),
   per-query deadlines, four query kinds (skyline, k-skyband, constrained,
-  subspace), full serve-path observability.
+  subspace), full serve-path observability — over one backend per
+  dataset (a local store, or a sharded dataset on the coordinator).
 * :mod:`~repro.serving.protocol` / :mod:`~repro.serving.server` /
   :mod:`~repro.serving.client` — the ``repro serve`` JSON-lines front end
   (stdio or TCP) and the client helper used by tests and CI; the
@@ -26,10 +27,11 @@ concurrent queries against it:
   verbs are the live telemetry plane.
 * :mod:`~repro.serving.top` — the ``repro top`` terminal dashboard that
   polls those verbs against a running server.
-* :mod:`~repro.serving.cluster` — sharded multi-node serving: a
-  coordinator fans queries out to shard servers with broadcast filter
-  points, merges candidate sets exactly, and degrades (never fails) on
-  shard loss.  ``repro serve --cluster N`` / ``repro coordinator``.
+* :mod:`~repro.serving.cluster` — sharded multi-node serving: the
+  coordinator is the same request plane with sharded backends that fan
+  queries out to shard servers with broadcast filter points, merge
+  candidate sets exactly, and degrade (never fail) on shard loss.
+  ``repro serve --cluster N`` / ``repro coordinator``.
 
 See ``docs/serving.md``, ``docs/cluster.md`` and ``docs/observability.md``.
 """
@@ -39,7 +41,6 @@ from repro.serving.client import ServingClient, ServingConnectionError
 from repro.serving.cluster import (
     ClusterConfig,
     ClusterCoordinator,
-    ClusterResponse,
     ClusterUnavailableError,
     LocalCluster,
     ShardLostError,
@@ -50,6 +51,7 @@ from repro.serving.service import (
     QueryResponse,
     ServeConfig,
     ServiceOverloadedError,
+    ServiceUnavailableError,
     SkylineService,
     UnknownDatasetError,
 )
@@ -60,7 +62,6 @@ __all__ = [
     "QUERY_KINDS",
     "ClusterConfig",
     "ClusterCoordinator",
-    "ClusterResponse",
     "ClusterUnavailableError",
     "LocalCluster",
     "QueryResponse",
@@ -68,6 +69,7 @@ __all__ = [
     "ResultCache",
     "ServeConfig",
     "ServiceOverloadedError",
+    "ServiceUnavailableError",
     "ServingClient",
     "ServingConnectionError",
     "ShardLostError",

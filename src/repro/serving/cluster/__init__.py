@@ -1,40 +1,44 @@
 """Sharded multi-node serving (``docs/cluster.md``).
 
-A :class:`ClusterCoordinator` fronts N ordinary ``repro serve`` shard
-servers: datasets place across shards via a :class:`ShardMap` (whole-
-dataset or partitioner-keyed with the paper's schemes as shard
-functions), queries fan out as filter-pruned ``shard_query`` legs and
-merge exactly through the kernel seam, writes route to the owning shard
-and advance per-shard generation vectors, and shard loss degrades to a
-partial answer instead of failing.  :class:`LocalCluster` boots the whole
-topology in-process over real loopback sockets for tests and
-``repro serve --cluster N``.
+A :class:`ClusterCoordinator` is the request plane
+(:class:`~repro.serving.service.SkylineService`) over N ordinary
+``repro serve`` shard servers: each dataset is a :class:`ShardedDataset`
+placed across shards via a :class:`ShardMap` (whole-dataset or
+partitioner-keyed with the paper's schemes as shard functions); queries
+fan out as filter-pruned ``shard_query`` legs and merge exactly through
+the kernel seam, writes route to the owning shard and advance per-shard
+generation vectors, and shard loss degrades to a partial answer instead
+of failing.  :class:`LocalCluster` boots the whole topology in-process
+over real loopback sockets for tests and ``repro serve --cluster N``.
 """
 
 from repro.serving.cluster.coordinator import (
     ClusterConfig,
     ClusterCoordinator,
-    ClusterResponse,
     ClusterUnavailableError,
+    ShardedDataset,
     ShardEndpoint,
     ShardLostError,
 )
 from repro.serving.cluster.local import LocalCluster
 from repro.serving.cluster.merge import merge_candidates
-from repro.serving.cluster.protocol import handle_cluster_request
 from repro.serving.cluster.shards import SHARD_FUNCTIONS, DatasetPlacement, ShardMap
+from repro.serving.protocol import handle_request
+
+#: The coordinator speaks the one protocol; this name predates that.
+handle_cluster_request = handle_request
 
 __all__ = [
     "SHARD_FUNCTIONS",
     "ClusterConfig",
     "ClusterCoordinator",
-    "ClusterResponse",
     "ClusterUnavailableError",
     "DatasetPlacement",
     "LocalCluster",
     "ShardEndpoint",
     "ShardLostError",
     "ShardMap",
+    "ShardedDataset",
     "handle_cluster_request",
     "merge_candidates",
 ]

@@ -1,86 +1,82 @@
-"""The cluster coordinator: fan-out, candidate merge, degraded answers.
+"""The cluster coordinator: the request plane over N shard servers.
 
-One :class:`ClusterCoordinator` fronts N shard servers (each an ordinary
-``repro serve`` speaking the JSON-lines protocol) and serves the same
-query/mutation surface as a single-node
-:class:`~repro.serving.service.SkylineService`:
+A :class:`ClusterCoordinator` is a
+:class:`~repro.serving.service.SkylineService` whose datasets are
+:class:`ShardedDataset` backends; admission, cache, coalescing,
+deadlines, stale-on-overload and the telemetry verbs are the plane's.
+What sharding adds:
 
 * **Reads** fan out as ``shard_query`` legs — one thread per owning shard
-  — carrying the coordinator's current **filter points** (live rows of the
-  dataset, recomputed from every full skyline merge) so shards prune
-  dominated candidates before they cross the wire (Ciaccia–Martinenghi).
-  The candidate union is merged exactly
-  (:func:`~repro.serving.cluster.merge.merge_candidates`) through the
-  kernel seam.
+  — carrying the dataset's **filter points** (live rows, recomputed from
+  every full skyline merge) so shards prune dominated candidates before
+  they cross the wire (Ciaccia–Martinenghi); the candidate union is
+  merged exactly (:func:`~repro.serving.cluster.merge.merge_candidates`).
 * **Writes** route to the owning shard
-  (:class:`~repro.serving.cluster.shards.ShardMap`) and bump that shard's
-  component of the dataset's **generation vector** — the versioned leg of
-  the cluster result-cache key, so mutation invalidates cached answers
-  exactly like the single-node generation counter does.
+  (:class:`~repro.serving.cluster.shards.ShardMap`) and bump its
+  component of the dataset's **generation vector**, the cache-key
+  generation of a sharded dataset.
 * **Shard loss degrades, it does not fail**: a refused connection, EOF,
-  per-leg timeout, or an injected fault (the PR-4
-  :class:`~repro.mapreduce.faults.FaultInjector` plugs in via
-  ``ClusterConfig.fault_plan``) marks the leg lost, and the surviving
-  legs merge into a partial answer flagged ``degraded`` with the missing
-  shards listed — never cached, so a recovered shard immediately restores
-  full answers.  ``serve.shard.lost`` counts and events make every loss
-  observable; generation vectors fold in with ``max`` and never regress.
+  leg timeout, or injected fault (``ClusterConfig.fault_plan``) marks the
+  leg lost and the survivors merge into an uncached partial answer
+  flagged ``degraded`` with the missing shards listed.  Losing every
+  owning shard raises :class:`ClusterUnavailableError`, which the plane's
+  shed path turns into the newest stale answer or an ``unavailable``
+  rejection.  ``serve.shard.lost`` counts and events record every loss;
+  generation vectors fold in with ``max`` and never regress.
 
-Thread-safety: routing/identity state mutates only under ``self._lock``;
-no RPC, join, or wait ever runs while it is held.  Each
-:class:`ShardEndpoint` hands out pooled connections the same way — the
-pool free-list is locked, the socket I/O is not.
+Thread-safety: a dataset's placement and filters mutate only under its
+lock, the shard map and loss/attempt tallies under the plane's lock; no RPC,
+join or wait runs under either.  Each :class:`ShardEndpoint` pool locks
+its free-list, never its socket I/O.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.filtering import DEFAULT_FILTER_K, compute_filter_points
 from repro.core.kernels import get_kernel
 from repro.mapreduce.errors import TaskError
-from repro.mapreduce.faults import FaultInjector, FaultPlan, MonotonicClock, apply_fault
+from repro.mapreduce.faults import FaultInjector, FaultPlan, apply_fault
 from repro.observability.events import get_events
-from repro.observability.metrics import Histogram, get_metrics
-from repro.observability.slo import SLOTracker, default_objectives
+from repro.observability.metrics import get_metrics
 from repro.observability.tracing import get_tracer
-from repro.serving.cache import ResultCache
 from repro.serving.client import ServingClient, ServingConnectionError
 from repro.serving.cluster.merge import merge_candidates
 from repro.serving.cluster.shards import DatasetPlacement, ShardMap
-from repro.serving.queries import QuerySpec
-from repro.serving.service import UnknownDatasetError
+from repro.serving.queries import Answer, QuerySpec
+from repro.serving.service import ServeConfig, ServiceUnavailableError, SkylineService
 
 __all__ = [
     "ClusterConfig",
     "ClusterCoordinator",
-    "ClusterResponse",
     "ClusterUnavailableError",
     "ShardEndpoint",
     "ShardLostError",
+    "ShardedDataset",
 ]
 
 
-class ShardLostError(RuntimeError):
+class ShardLostError(ServiceUnavailableError):
     """One shard could not answer (refused, EOF, timeout, injected fault)."""
 
     def __init__(self, shard: int, reason: str):
-        super().__init__(f"shard {shard} lost ({reason})")
-        self.shard = shard
+        super().__init__(f"shard {shard} lost ({reason})", missing=(shard,), shard=shard)
         self.reason = reason
 
 
-class ClusterUnavailableError(RuntimeError):
-    """Every owning shard was lost and no stale answer is cached."""
+class ClusterUnavailableError(ServiceUnavailableError):
+    """Every owning shard of a query was lost."""
 
 
 @dataclass(slots=True)
 class ClusterConfig:
-    """Coordinator knobs (the cluster analogue of ``ServeConfig``)."""
+    """Fan-out knobs of a coordinator.  Admission, cache size, deadlines
+    and SLOs are the request plane's (:class:`ServeConfig`)."""
 
     #: Dominance backend for merges and filter selection.
     kernel: str | None = None
@@ -90,18 +86,10 @@ class ClusterConfig:
     shard_timeout_s: float = 5.0
     #: TCP connect budget per shard.
     connect_timeout_s: float = 5.0
-    #: Cluster result-cache capacity (keyed by generation vector).
-    cache_entries: int = 256
-    #: Deadline applied when a query names none (``None`` = unbounded).
-    default_deadline_s: float | None = None
     #: Inject shard faults (chaos tests): consulted once per fan-out leg
     #: with ``job_name="cluster.<dataset>"``, ``kind="map"``,
     #: ``index=<shard id>``.
     fault_plan: FaultPlan | None = None
-    #: SLO objectives (same shape as the single-node service).
-    slo_latency_target: float = 0.95
-    slo_latency_threshold_s: float = 0.5
-    slo_availability_target: float = 0.999
 
     def validate(self) -> None:
         if self.filter_k < 0:
@@ -114,42 +102,6 @@ class ClusterConfig:
             raise ValueError(
                 f"connect_timeout_s must be > 0, got {self.connect_timeout_s}"
             )
-        if self.cache_entries < 0:
-            raise ValueError(
-                f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError(
-                f"default_deadline_s must be > 0, got {self.default_deadline_s}"
-            )
-
-
-@dataclass(slots=True)
-class ClusterResponse:
-    """One coordinator answer, labelled with its generation vector."""
-
-    dataset: str
-    kind: str
-    ids: List[int]
-    generations: Tuple[int, ...]
-    cache_hit: bool = False
-    degraded: bool = False
-    missing_shards: List[int] = field(default_factory=list)
-    status: str = "ok"
-    latency_s: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "kind": self.kind,
-            "ids": list(self.ids),
-            "generations": list(self.generations),
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
-            "missing_shards": list(self.missing_shards),
-            "status": self.status,
-            "latency_s": round(self.latency_s, 9),
-        }
 
 
 class ShardEndpoint:
@@ -234,270 +186,155 @@ def _parse_endpoint(spec: "str | Tuple[str, int]") -> Tuple[str, int]:
     return host, int(port)
 
 
-class ClusterCoordinator:
-    """Sharded serving front end over N ``repro serve`` shard servers."""
+class ShardedDataset:
+    """One dataset spread over the coordinator's shards: the request
+    plane's sharded backend (:class:`~repro.serving.service.Backend`).
 
-    def __init__(
-        self,
-        endpoints: Sequence["str | Tuple[str, int]"],
-        *,
-        config: ClusterConfig | None = None,
-        clock: Any = None,
-    ):
-        if not endpoints:
-            raise ValueError("a cluster needs at least one shard endpoint")
-        self.config = config or ClusterConfig()
-        self.config.validate()
-        self.clock = clock if clock is not None else MonotonicClock()
-        self._endpoints = [
-            ShardEndpoint(
-                i, *_parse_endpoint(spec),
-                connect_timeout_s=self.config.connect_timeout_s,
-            )
-            for i, spec in enumerate(endpoints)
-        ]
-        self._lock = threading.RLock()
-        self._map = ShardMap(len(self._endpoints))
-        self._cache = ResultCache(self.config.cache_entries)
-        #: dataset -> (generation vector the filters are valid at, rows)
-        self._filters: Dict[str, Tuple[Tuple[int, ...], np.ndarray]] = {}
-        self._lost_counts: Dict[int, int] = {}
-        self._attempts: Dict[Tuple[str, int], int] = {}
-        self._injector = (
-            FaultInjector(self.config.fault_plan)
-            if self.config.fault_plan is not None
-            else None
-        )
-        self._started_at = self.clock.monotonic()
-        self.slo = SLOTracker(
-            default_objectives(
-                availability_target=self.config.slo_availability_target,
-                latency_threshold_s=self.config.slo_latency_threshold_s,
-                latency_target=self.config.slo_latency_target,
-            ),
-            clock=self.clock,
-        )
+    Its cache-key generation is the placement's generation vector.
+    ``answer`` runs the fan-out, the filter broadcast, the unfiltered
+    retry, the generation-regression quarantine and the merge.
+    """
+
+    def __init__(self, coordinator: "ClusterCoordinator", placement: DatasetPlacement):
+        self._coordinator = coordinator
+        self.placement = placement
+        self._lock = threading.Lock()
+        #: (generation vector the filter rows are valid at, filter rows)
+        self._filters: Tuple[Tuple[int, ...], np.ndarray] | None = None
 
     @property
-    def num_shards(self) -> int:
-        return len(self._endpoints)
+    def name(self) -> str:
+        return self.placement.name
 
-    def close(self) -> None:
-        for endpoint in self._endpoints:
-            endpoint.close()
-
-    def __enter__(self) -> "ClusterCoordinator":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- dataset management -----------------------------------------------------
-
-    def register(
-        self,
-        name: str,
-        points: np.ndarray | Sequence[Sequence[float]] | None = None,
-        *,
-        shard_fn: str | None = None,
-        scheme: str = "angle",
-        num_partitions: int = 8,
-    ) -> Tuple[int, ...]:
-        """Place a dataset and register each shard's slice; returns the
-        generation vector.
-
-        ``shard_fn=None`` keeps the whole dataset on one shard
-        (round-robin); ``"hash"`` / ``"angle"`` / ``"grid"`` / ``"dim"``
-        split it across every shard with the matching partitioner.
-        ``scheme`` / ``num_partitions`` pass through to each shard's
-        *within-shard* store partitioning, unchanged from single-node.
-        """
-        rows = (
-            np.asarray(points, dtype=np.float64) if points is not None else None
-        )
+    @property
+    def generation(self) -> Tuple[int, ...]:
         with self._lock:
-            replaced = name in self._map
-            placement, slices = self._map.place(name, rows, shard_fn=shard_fn)
-            self._filters.pop(name, None)
-        if replaced:
-            # The replacement placement restarts its generation vector; the
-            # previous incarnation's cached answers must not be addressable
-            # at the recycled (dataset, ..., gvec) keys.
-            self._cache.invalidate(name)
-        for shard in placement.shard_ids:
-            part = slices[shard]
-            request: Dict[str, Any] = {
-                "op": "register",
-                "dataset": name,
-                "scheme": scheme,
-                "partitions": num_partitions,
+            return self.placement.generation_vector()
+
+    def describe(self) -> Dict[str, Any]:
+        """The store row of ``stats`` plus the placement: the generation
+        is the vector's sum, the vector itself is ``generations``."""
+        kernel = get_kernel(self._coordinator.cluster_config.kernel).name
+        with self._lock:
+            gvec = self.placement.generation_vector()
+            return {
+                "size": self.placement.size,
+                "generation": sum(gvec),
+                "kernel": kernel,
+                "generations": list(gvec),
+                "shard_fn": self.placement.shard_fn,
+                "shards": len(self.placement.shard_ids),
             }
-            if part is not None and part.shape[0]:
-                request["points"] = [[float(v) for v in row] for row in part]
-            response = self._call_shard(name, shard, None, request)
-            if not response.get("ok"):
-                raise RuntimeError(
-                    f"shard {shard} rejected register of {name!r}: "
-                    f"{response.get('error', response)}"
-                )
-            with self._lock:
-                placement.observe_generation(shard, response["generation"])
+
+    def shard_of(self, point_id: int) -> int:
         with self._lock:
-            gvec = placement.generation_vector()
-        if self.config.filter_k and rows is not None and rows.shape[0]:
-            flt = compute_filter_points(
-                rows, k=self.config.filter_k, kernel=self.config.kernel
+            return self._address(point_id)[0]
+
+    def _address(self, point_id: int) -> Tuple[int, int]:
+        """``(shard, local id)`` of a live global id; caller holds the lock."""
+        try:
+            return self.placement.local_of[int(point_id)]
+        except KeyError:
+            raise KeyError(
+                f"unknown point id {point_id} in dataset {self.name!r}"
+            ) from None
+
+    # -- writes -----------------------------------------------------------------
+
+    def _write(
+        self, shard: int, error: Type[Exception], timeout_s: float | None, **request: Any
+    ) -> Dict[str, Any]:
+        """One write routed to ``shard``; a rejection raises ``error`` (a
+        write has no replica to degrade to)."""
+        response = self._coordinator._call_shard(
+            self.name, shard, timeout_s, {**request, "dataset": self.name}
+        )
+        if not response.get("ok"):
+            raise error(
+                f"shard {shard} rejected {request['op']} on {self.name!r}: "
+                f"{response.get('error', response)}"
+            )
+        return response
+
+    def load(
+        self,
+        slices: List[np.ndarray | None],
+        rows: np.ndarray | None,
+        *,
+        scheme: str,
+        num_partitions: int,
+    ) -> None:
+        """Register each owning shard's slice (``scheme`` /
+        ``num_partitions`` set its within-shard partitioning); seed the
+        filter points."""
+        for shard in self.placement.shard_ids:
+            part = slices[shard]
+            points = {} if part is None or not part.shape[0] else {"points": part.tolist()}
+            response = self._write(
+                shard, RuntimeError, None,
+                op="register", scheme=scheme, partitions=num_partitions, **points,
             )
             with self._lock:
-                self._filters[name] = (gvec, flt)
-        get_metrics().gauge("serve.cluster.datasets").set(
-            len(self._map.datasets())
-        )
-        return gvec
+                self.placement.observe_generation(shard, response["generation"])
+        config = self._coordinator.cluster_config
+        if config.filter_k and rows is not None and rows.shape[0]:
+            flt = compute_filter_points(rows, k=config.filter_k, kernel=config.kernel)
+            with self._lock:
+                self._filters = (self.placement.generation_vector(), flt)
 
-    def datasets(self) -> List[str]:
-        with self._lock:
-            return self._map.datasets()
-
-    def shard_of(self, dataset: str, point_id: int) -> int:
-        """The shard currently holding global id ``point_id``.
-
-        Ops/debug surface (and the chaos suite's ground truth for which
-        points a killed shard takes down with it)."""
-        with self._lock:
-            placement = self._placement(dataset)
-            try:
-                return placement.local_of[int(point_id)][0]
-            except KeyError:
-                raise KeyError(
-                    f"unknown point id {point_id} in dataset {dataset!r}"
-                ) from None
-
-    # -- mutations --------------------------------------------------------------
-
-    def insert(
-        self, dataset: str, point: Sequence[float] | np.ndarray
-    ) -> Tuple[int, Tuple[int, ...]]:
+    def insert(self, point: Sequence[float] | np.ndarray) -> Tuple[int, Tuple[int, ...]]:
         """Insert one row; returns ``(global id, generation vector)``."""
         row = np.asarray(point, dtype=np.float64).ravel()
         with self._lock:
-            placement = self._placement(dataset)
-            shard = placement.owner_of(row)
-            self._filters.pop(dataset, None)
-        response = self._call_shard(
-            dataset,
-            shard,
-            self.config.shard_timeout_s,
-            {"op": "insert", "dataset": dataset, "point": [float(v) for v in row]},
+            shard = self.placement.owner_of(row)
+            self._filters = None
+        response = self._write(
+            shard, RuntimeError, self._coordinator.cluster_config.shard_timeout_s,
+            op="insert", point=[float(v) for v in row],
         )
-        if not response.get("ok"):
-            raise RuntimeError(
-                f"shard {shard} rejected insert into {dataset!r}: "
-                f"{response.get('error', response)}"
-            )
         with self._lock:
-            placement.observe_generation(shard, response["generation"])
-            global_id = placement.bind(shard, int(response["id"]))
-            gvec = placement.generation_vector()
-        get_metrics().counter("serve.cluster.mutations").inc()
-        return global_id, gvec
+            self.placement.observe_generation(shard, response["generation"])
+            global_id = self.placement.bind(shard, int(response["id"]))
+            return global_id, self.placement.generation_vector()
 
-    def remove(self, dataset: str, point_id: int) -> Tuple[int, ...]:
+    def remove(self, point_id: int) -> Tuple[int, ...]:
         """Remove one row by global id; returns the generation vector."""
         with self._lock:
-            placement = self._placement(dataset)
-            try:
-                shard, local_id = placement.local_of[int(point_id)]
-            except KeyError:
-                raise KeyError(
-                    f"unknown point id {point_id} in dataset {dataset!r}"
-                ) from None
-            self._filters.pop(dataset, None)
-        response = self._call_shard(
-            dataset,
-            shard,
-            self.config.shard_timeout_s,
-            {"op": "remove", "dataset": dataset, "id": local_id},
+            shard, local_id = self._address(point_id)
+            self._filters = None
+        response = self._write(
+            shard, KeyError, self._coordinator.cluster_config.shard_timeout_s,
+            op="remove", id=local_id,
         )
-        if not response.get("ok"):
-            raise KeyError(
-                f"shard {shard} rejected remove of {point_id} from "
-                f"{dataset!r}: {response.get('error', response)}"
-            )
         with self._lock:
-            placement.observe_generation(shard, response["generation"])
-            placement.release(int(point_id))
-            gvec = placement.generation_vector()
-        get_metrics().counter("serve.cluster.mutations").inc()
-        return gvec
+            self.placement.observe_generation(shard, response["generation"])
+            self.placement.release(int(point_id))
+            return self.placement.generation_vector()
 
-    # -- the serve path ---------------------------------------------------------
+    # -- reads ------------------------------------------------------------------
 
-    def query(
-        self, spec: QuerySpec, *, deadline_s: float | None = None
-    ) -> ClusterResponse:
-        """Serve one query across the cluster.
+    def answer(self, spec: QuerySpec, remaining_s: float | None) -> Answer:
+        """Fan out, merge, and label the result with its generation vector.
 
-        Raises :class:`UnknownDatasetError` for a bad name and
-        :class:`ClusterUnavailableError` only when *every* owning shard is
-        lost and nothing stale is cached; any partial loss degrades.
+        Any partial loss is a degraded, uncacheable answer; losing every
+        owning shard raises :class:`ClusterUnavailableError`.
         """
+        coordinator = self._coordinator
+        config = coordinator.cluster_config
         metrics = get_metrics()
-        tracer = get_tracer()
-        metrics.counter("serve.cluster.requests").inc()
-        start = self.clock.monotonic()
         deadline = (
-            deadline_s if deadline_s is not None
-            else self.config.default_deadline_s
+            None if remaining_s is None
+            else coordinator.clock.monotonic() + remaining_s
         )
-        span = tracer.start_span(
-            "serve.cluster.request", kind="serve",
-            dataset=spec.dataset, query=spec.kind,
-        )
-        status = "error"
-        try:
-            response = self._serve(spec, start, deadline, span)
-            status = response.status
-            response.latency_s = self.clock.monotonic() - start
-            return response
-        finally:
-            latency_s = self.clock.monotonic() - start
-            metrics.histogram("serve.cluster.latency_s").observe(latency_s)
-            self.slo.record(latency_s, ok=status in ("ok", "degraded"))
-            span.set_attrs(status=status)
-            tracer.end_span(
-                span, status="ok" if status in ("ok", "degraded") else "error"
-            )
-
-    def _serve(
-        self,
-        spec: QuerySpec,
-        start: float,
-        deadline: float | None,
-        span: Any,
-    ) -> ClusterResponse:
-        metrics = get_metrics()
         with self._lock:
-            placement = self._placement(spec.dataset)
-            gvec = placement.generation_vector()
-            entry = self._filters.get(spec.dataset)
+            gvec = self.placement.generation_vector()
+            entry = self._filters
             filters = entry[1] if entry is not None and entry[0] == gvec else None
-        key = (spec.dataset, spec.kind, spec.params_key(), gvec)
-        cached = self._cache.get(key)
-        if cached is not None:
-            metrics.counter("serve.cluster.cache.hits").inc()
-            span.set_attrs(cache="hit")
-            return ClusterResponse(
-                dataset=spec.dataset,
-                kind=spec.kind,
-                ids=cached,
-                generations=gvec,
-                cache_hit=True,
-            )
-        metrics.counter("serve.cluster.cache.misses").inc()
-        span.set_attrs(cache="miss", filters=0 if filters is None else len(filters))
-        answers, lost = self._fan_out(placement, spec, filters, start, deadline, span)
-        gen_of = dict(zip(placement.shard_ids, gvec))
+        span = get_tracer().current_span()
+        if span is not None:
+            span.set_attrs(filters=0 if filters is None else len(filters))
+        answers, lost = self._fan_out(spec, filters, deadline, span)
+        gen_of = dict(zip(self.placement.shard_ids, gvec))
         if filters is not None and any(
             ans["generation"] != gen_of[shard] for shard, ans in answers.items()
         ):
@@ -505,9 +342,7 @@ class ClusterCoordinator:
             # may no longer be live at the generation a shard answered at,
             # so its pruning cannot be trusted.  Re-fan-out unfiltered.
             metrics.counter("serve.cluster.unfiltered_retries").inc()
-            answers, lost = self._fan_out(
-                placement, spec, None, start, deadline, span
-            )
+            answers, lost = self._fan_out(spec, None, deadline, span)
         # A shard answering *below* the generation the coordinator has
         # already observed for it has restarted without (full) recovery:
         # its answer may silently miss acknowledged mutations, so the leg
@@ -532,16 +367,18 @@ class ClusterCoordinator:
             )
         with self._lock:
             for shard, ans in answers.items():
-                placement.observe_generation(shard, ans["generation"])
-            new_gvec = placement.generation_vector()
-            mapped = [
-                self._map_answer(placement, shard, ans)
-                for shard, ans in answers.items()
-            ]
-        self._note_lost(spec.dataset, lost)
+                self.placement.observe_generation(shard, ans["generation"])
+            new_gvec = self.placement.generation_vector()
+            mapped = [self._map_answer(shard, ans) for shard, ans in answers.items()]
+        coordinator._note_lost(spec.dataset, lost)
         if not answers:
-            return self._all_lost(spec, lost, span)
-        ids, rows = merge_candidates(spec, mapped, kernel=self.config.kernel)
+            raise ClusterUnavailableError(
+                f"query {spec.describe()}: all {len(lost)} owning shards "
+                f"lost ({', '.join(f'{s}:{r}' for s, r in sorted(lost.items()))}) "
+                "and no stale answer cached",
+                missing=lost,
+            )
+        ids, rows = merge_candidates(spec, mapped, kernel=config.kernel)
         metrics.counter("serve.cluster.points_held").inc(
             sum(ans["held"] for ans in answers.values())
         )
@@ -551,7 +388,9 @@ class ClusterCoordinator:
         metrics.counter("serve.cluster.filter_pruned").inc(
             sum(ans["candidates"] - ans["sent"] for ans in answers.values())
         )
-        gen_of_new = dict(zip(placement.shard_ids, new_gvec))
+        gen_of_new = dict(zip(self.placement.shard_ids, new_gvec))
+        # Degraded or racy answers are never cached: the cache must only
+        # ever serve answers that are exact at their generation vector.
         consistent = not lost and all(
             ans["generation"] == gen_of_new[shard]
             for shard, ans in answers.items()
@@ -564,39 +403,16 @@ class ClusterCoordinator:
                 query=spec.kind,
                 missing=sorted(lost),
             )
-            span.set_attrs(degraded=True, missing=sorted(lost))
-        elif consistent:
-            # Degraded or racy answers are never cached: the cache must
-            # only ever serve answers that are exact at their key's
-            # generation vector.
-            self._cache.put(
-                (spec.dataset, spec.kind, spec.params_key(), new_gvec), ids
-            )
-            if self.config.filter_k and spec.kind == "skyline" and len(ids):
-                flt = compute_filter_points(
-                    rows, k=self.config.filter_k, kernel=self.config.kernel
-                )
-                with self._lock:
-                    self._filters[spec.dataset] = (new_gvec, flt)
-        span.set_attrs(results=len(ids))
-        return ClusterResponse(
-            dataset=spec.dataset,
-            kind=spec.kind,
-            ids=ids,
-            generations=new_gvec,
-            degraded=bool(lost),
-            missing_shards=sorted(lost),
-            status="degraded" if lost else "ok",
-        )
-
-    # -- fan-out ----------------------------------------------------------------
+        elif consistent and config.filter_k and spec.kind == "skyline" and len(ids):
+            flt = compute_filter_points(rows, k=config.filter_k, kernel=config.kernel)
+            with self._lock:
+                self._filters = (new_gvec, flt)
+        return Answer(new_gvec, ids, consistent, tuple(sorted(lost)))
 
     def _fan_out(
         self,
-        placement: DatasetPlacement,
         spec: QuerySpec,
         filters: np.ndarray | None,
-        start: float,
         deadline: float | None,
         parent_span: Any,
     ) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, str]]:
@@ -604,8 +420,10 @@ class ClusterCoordinator:
 
         Returns ``(answers by shard, lost shards by reason)``.  A leg is
         lost on transport failure, an injected fault, a non-ok response,
-        or the query deadline expiring before it finishes.
+        or the query deadline (absolute, on the coordinator's clock)
+        expiring before it finishes.
         """
+        coordinator = self._coordinator
         tracer = get_tracer()
         request: Dict[str, Any] = {"op": "shard_query", **spec.to_dict()}
         if filters is not None and len(filters):
@@ -621,7 +439,7 @@ class ClusterCoordinator:
             )
             leg_status = "ok"
             try:
-                response = self._call_shard(
+                response = coordinator._call_shard(
                     spec.dataset, shard, timeout_s, request
                 )
                 if response.get("ok"):
@@ -644,11 +462,17 @@ class ClusterCoordinator:
             finally:
                 tracer.end_span(leg_span, status=leg_status)
 
-        for shard in placement.shard_ids:
-            timeout_s = self._leg_timeout(start, deadline)
+        def remaining() -> float | None:
+            if deadline is None:
+                return None
+            return max(deadline - coordinator.clock.monotonic(), 0.0)
+
+        budget = coordinator.cluster_config.shard_timeout_s
+        for shard in self.placement.shard_ids:
+            left = remaining()
             thread = threading.Thread(
                 target=leg,
-                args=(shard, timeout_s),
+                args=(shard, budget if left is None else max(min(budget, left), 0.001)),
                 name=f"cluster-leg-{spec.dataset}-{shard}",
                 daemon=True,
             )
@@ -657,8 +481,7 @@ class ClusterCoordinator:
         answers: Dict[int, Dict[str, Any]] = {}
         lost: Dict[int, str] = {}
         for shard, thread in threads:
-            remaining = self._remaining(start, deadline)
-            thread.join(remaining)
+            thread.join(remaining())
             if thread.is_alive():
                 lost[shard] = "timeout"
                 continue
@@ -669,16 +492,109 @@ class ClusterCoordinator:
                 lost[shard] = payload
         return answers, lost
 
-    def _leg_timeout(self, start: float, deadline: float | None) -> float:
-        remaining = self._remaining(start, deadline)
-        if remaining is None:
-            return self.config.shard_timeout_s
-        return max(min(self.config.shard_timeout_s, remaining), 0.001)
+    def _map_answer(
+        self, shard: int, ans: Dict[str, Any]
+    ) -> Tuple[List[int], np.ndarray]:
+        """Translate one shard answer to global ids, dropping rows whose
+        identity the coordinator already released (a remove racing the
+        fan-out: such rows cannot be live at the labelled generations).
+        Caller holds ``self._lock``."""
+        rows = np.asarray(ans["rows"], dtype=np.float64)
+        global_ids: List[int] = []
+        keep: List[int] = []
+        for i, local_id in enumerate(ans["ids"]):
+            gid = self.placement.global_of.get((shard, int(local_id)))
+            if gid is not None:
+                global_ids.append(gid)
+                keep.append(i)
+        if len(keep) != rows.shape[0]:
+            rows = rows[keep] if keep else np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
+        return global_ids, rows
 
-    def _remaining(self, start: float, deadline: float | None) -> float | None:
-        if deadline is None:
-            return None
-        return max(deadline - (self.clock.monotonic() - start), 0.0)
+
+class ClusterCoordinator(SkylineService):
+    """The request plane over N ``repro serve`` shard servers.
+
+    ``config`` holds the fan-out knobs; ``serve_config`` the plane's
+    admission, cache, deadline and SLO knobs (its default takes the
+    cluster kernel).
+    """
+
+    metric_prefix = "serve.cluster"
+
+    def __init__(
+        self,
+        endpoints: Sequence["str | Tuple[str, int]"],
+        *,
+        config: ClusterConfig | None = None,
+        serve_config: ServeConfig | None = None,
+        clock: Any = None,
+    ):
+        if not endpoints:
+            raise ValueError("a cluster needs at least one shard endpoint")
+        self.cluster_config = config or ClusterConfig()
+        self.cluster_config.validate()
+        super().__init__(
+            serve_config or ServeConfig(kernel=self.cluster_config.kernel),
+            clock=clock,
+        )
+        self._endpoints = [
+            ShardEndpoint(
+                i, *_parse_endpoint(spec),
+                connect_timeout_s=self.cluster_config.connect_timeout_s,
+            )
+            for i, spec in enumerate(endpoints)
+        ]
+        self.num_shards = len(self._endpoints)
+        self._map = ShardMap(self.num_shards)
+        self._lost_counts: Dict[int, int] = {}
+        self._attempts: Dict[Tuple[str, int], int] = {}
+        self._injector = (
+            FaultInjector(self.cluster_config.fault_plan)
+            if self.cluster_config.fault_plan is not None
+            else None
+        )
+
+    def close(self) -> None:
+        for endpoint in self._endpoints:
+            endpoint.close()
+
+    def __enter__(self) -> "ClusterCoordinator":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _new_backend(
+        self,
+        name: str,
+        points: np.ndarray | None,
+        *,
+        scheme: str,
+        num_partitions: int,
+        shard_fn: str | None,
+    ) -> ShardedDataset:
+        """Place a dataset and register each shard's slice.
+
+        ``shard_fn=None`` keeps the whole dataset on one shard
+        (round-robin); ``"hash"`` / ``"angle"`` / ``"grid"`` / ``"dim"``
+        split it across every shard with the matching partitioner.
+        """
+        rows = np.asarray(points, dtype=np.float64) if points is not None else None
+        with self._lock:
+            placement, slices = self._map.place(name, rows, shard_fn=shard_fn)
+        dataset = ShardedDataset(self, placement)
+        dataset.load(slices, rows, scheme=scheme, num_partitions=num_partitions)
+        return dataset
+
+    def shard_of(self, dataset: str, point_id: int) -> int:
+        """The shard currently holding global id ``point_id``.
+
+        Ops/debug surface (and the chaos suite's ground truth for which
+        points a killed shard takes down with it)."""
+        return self.store(dataset).shard_of(point_id)
+
+    # -- shard RPCs -------------------------------------------------------------
 
     def _call_shard(
         self,
@@ -716,8 +632,6 @@ class ClusterCoordinator:
             # lost exactly as if the shard's transport had died.
             raise ShardLostError(shard, f"injected:{decision.action}") from exc
 
-    # -- degraded paths ---------------------------------------------------------
-
     def _note_lost(self, dataset: str, lost: Dict[int, str]) -> None:
         if not lost:
             return
@@ -731,159 +645,21 @@ class ClusterCoordinator:
                 "serve.shard.lost", shard=shard, dataset=dataset, reason=reason
             )
 
-    def _all_lost(
-        self, spec: QuerySpec, lost: Dict[int, str], span: Any
-    ) -> ClusterResponse:
-        """Every owning shard lost: serve the newest stale answer, if any."""
-        stale = self._cache.latest(spec.dataset, spec.kind, spec.params_key())
-        get_metrics().counter("serve.cluster.degraded").inc()
-        get_events().emit(
-            "cluster.degraded",
-            dataset=spec.dataset,
-            query=spec.kind,
-            missing=sorted(lost),
-            stale=stale is not None,
-        )
-        span.set_attrs(degraded=True, missing=sorted(lost))
-        if stale is None:
-            raise ClusterUnavailableError(
-                f"query {spec.describe()}: all {len(lost)} owning shards "
-                f"lost ({', '.join(f'{s}:{r}' for s, r in sorted(lost.items()))}) "
-                "and no stale answer cached"
-            )
-        generations, ids = stale
-        return ClusterResponse(
-            dataset=spec.dataset,
-            kind=spec.kind,
-            ids=ids,
-            generations=tuple(generations),
-            cache_hit=True,
-            degraded=True,
-            missing_shards=sorted(lost),
-            status="degraded",
-        )
-
-    # -- internals --------------------------------------------------------------
-
-    def _placement(self, dataset: str) -> DatasetPlacement:
-        try:
-            return self._map.placement(dataset)
-        except KeyError:
-            raise UnknownDatasetError(dataset) from None
-
-    def _map_answer(
-        self,
-        placement: DatasetPlacement,
-        shard: int,
-        ans: Dict[str, Any],
-    ) -> Tuple[List[int], np.ndarray]:
-        """Translate one shard answer to global ids, dropping rows whose
-        identity the coordinator already released (a remove racing the
-        fan-out: such rows cannot be live at the labelled generations)."""
-        rows = np.asarray(ans["rows"], dtype=np.float64)
-        global_ids: List[int] = []
-        keep: List[int] = []
-        for i, local_id in enumerate(ans["ids"]):
-            gid = placement.global_of.get((shard, int(local_id)))
-            if gid is not None:
-                global_ids.append(gid)
-                keep.append(i)
-        if len(keep) != rows.shape[0]:
-            rows = rows[keep] if keep else np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
-        return global_ids, rows
-
     # -- introspection ----------------------------------------------------------
 
-    def uptime_s(self) -> float:
-        return self.clock.monotonic() - self._started_at
-
-    def cache_stats(self) -> Dict[str, int]:
-        return self._cache.stats()
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-ready operational snapshot (the cluster ``stats`` op)."""
-        snapshot = get_metrics().snapshot()
+    def _shard_table(self) -> Dict[str, Dict[str, Any]]:
+        participation: Dict[int, int] = {}
         with self._lock:
-            datasets = {
-                name: {
-                    "size": p.size,
-                    "generation": sum(p.generation_vector()),
-                    "generations": list(p.generation_vector()),
-                    "shard_fn": p.shard_fn,
-                    "shards": len(p.shard_ids),
-                }
-                for name, p in (
-                    (n, self._map.placement(n)) for n in self._map.datasets()
-                )
-            }
-            participation: Dict[int, int] = {}
             for name in self._map.datasets():
                 for shard in self._map.placement(name).shard_ids:
                     participation[shard] = participation.get(shard, 0) + 1
-            shards = {
-                f"shard{ep.index}": {
-                    "address": ep.address(),
-                    "state": ep.state,
-                    "datasets": participation.get(ep.index, 0),
-                    "lost": self._lost_counts.get(ep.index, 0),
-                }
-                for ep in self._endpoints
+            lost = dict(self._lost_counts)
+        return {
+            f"shard{ep.index}": {
+                "address": ep.address(),
+                "state": ep.state,
+                "datasets": participation.get(ep.index, 0),
+                "lost": lost.get(ep.index, 0),
             }
-        return {
-            "uptime_s": round(self.uptime_s(), 6),
-            "kernel": get_kernel(self.config.kernel).name,
-            "cluster": {"shards": self.num_shards},
-            "datasets": datasets,
-            "shards": shards,
-            "cache": self._cache.stats(),
-            "counters": {
-                name: value
-                for name, value in snapshot["counters"].items()
-                if name.startswith(("serve.", "prune."))
-            },
-            "gauges": {
-                name: value
-                for name, value in snapshot["gauges"].items()
-                if name.startswith(("serve.", "partition."))
-            },
-            "latency": snapshot["histograms"].get(
-                "serve.cluster.latency_s",
-                Histogram("serve.cluster.latency_s").snapshot(),
-            ),
-            "events": get_events().counts(),
+            for ep in self._endpoints
         }
-
-    def slo_report(self) -> Dict[str, Any]:
-        return self.slo.evaluate()
-
-    def health(self) -> Dict[str, Any]:
-        """Liveness + burn state + shard reachability (the ``health`` op)."""
-        slo_state = self.slo.evaluate()["state"]
-        status = {"ok": "healthy", "ticket": "degraded", "page": "unhealthy"}[
-            slo_state
-        ]
-        with self._lock:
-            down = [ep.index for ep in self._endpoints if ep.state != "up"]
-            datasets = len(self._map.datasets())
-        if down and status == "healthy":
-            status = "degraded"
-        return {
-            "status": status,
-            "slo_state": slo_state,
-            "uptime_s": round(self.uptime_s(), 6),
-            "datasets": datasets,
-            "shards": self.num_shards,
-            "shards_down": down,
-        }
-
-    def events_tail(
-        self,
-        n: int | None = 50,
-        *,
-        kinds: Sequence[str] | None = None,
-        since_seq: int | None = None,
-    ) -> List[Dict[str, Any]]:
-        return [
-            event.to_dict()
-            for event in get_events().tail(n, kinds=kinds, since_seq=since_seq)
-        ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.serving.server import ServingTCPServer
 from repro.serving.service import ServeConfig, SkylineService
@@ -86,17 +86,24 @@ class LocalCluster:
         self._fsync = fsync
         self._snapshot_every = snapshot_every
         for i in range(num_shards):
-            service = self._make_service(i)
-            server = _TrackingTCPServer(("127.0.0.1", 0), service)
-            thread = threading.Thread(
-                target=server.serve_forever,
-                name=f"local-shard-{i}",
-                daemon=True,
-            )
-            thread.start()
+            service, server, thread = self._start(i, "127.0.0.1", 0)
             self.services.append(service)
             self.servers.append(server)
             self._threads.append(thread)
+
+    def _start(
+        self, index: int, host: str, port: int
+    ) -> Tuple[SkylineService, _TrackingTCPServer, threading.Thread]:
+        """Boot shard ``index`` (fresh or recovered) on ``host:port``."""
+        service = self._make_service(index)
+        server = _TrackingTCPServer((host, port), service)
+        thread = threading.Thread(
+            target=server.serve_forever,
+            name=f"local-shard-{index}",
+            daemon=True,
+        )
+        thread.start()
+        return service, server, thread
 
     def _make_service(self, index: int) -> SkylineService:
         """One shard's service, with its durability plane when configured;
@@ -163,17 +170,9 @@ class LocalCluster:
             raise ValueError(f"shard {index} is still running")
         address = self._dead.pop(index)
         host, _, port = address.rpartition(":")
-        service = self._make_service(index)
-        server = _TrackingTCPServer((host, int(port)), service)
-        thread = threading.Thread(
-            target=server.serve_forever,
-            name=f"local-shard-{index}",
-            daemon=True,
-        )
-        thread.start()
-        self.services[index] = service
-        self.servers[index] = server
-        self._threads[index] = thread
+        (
+            self.services[index], self.servers[index], self._threads[index]
+        ) = self._start(index, host, int(port))
         return address
 
     def close(self) -> None:

@@ -44,6 +44,7 @@ from repro.serving.durability.snapshot import (
 )
 from repro.serving.durability.wal import (
     FSYNC_POLICIES,
+    RecordTooLargeError,
     WalRecord,
     WalScan,
     WriteAheadLog,
@@ -55,6 +56,7 @@ __all__ = [
     "DurabilityConfig",
     "DurabilityManager",
     "FSYNC_POLICIES",
+    "RecordTooLargeError",
     "RecoveryReport",
     "SNAPSHOT_FORMAT",
     "SnapshotError",

@@ -32,7 +32,11 @@ from typing import Any, Callable, Dict, List, Sequence
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics
 from repro.serving.durability.snapshot import write_snapshot
-from repro.serving.durability.wal import FSYNC_POLICIES, WriteAheadLog
+from repro.serving.durability.wal import (
+    FSYNC_POLICIES,
+    RecordTooLargeError,
+    WriteAheadLog,
+)
 
 __all__ = ["DatasetLog", "DurabilityConfig", "DurabilityManager"]
 
@@ -157,7 +161,19 @@ class DatasetLog:
         """
         if self._since_checkpoint < self.config.snapshot_every:
             return False
-        self.checkpoint(state_fn())
+        try:
+            self.checkpoint(state_fn())
+        except RecordTooLargeError as exc:
+            # The mutation that triggered this is already applied and
+            # logged; failing it now would report an error for a write
+            # that recovery will replay.  The WAL stays the record of
+            # truth (it was not truncated); retry after another interval.
+            self._since_checkpoint = 0
+            get_metrics().counter("wal.checkpoints_skipped").inc()
+            get_events().emit(
+                "durability.checkpoint_skipped", dataset=self.name, error=str(exc)
+            )
+            return False
         return True
 
     def checkpoint(self, state: Dict[str, Any]) -> int:

@@ -42,7 +42,7 @@ import os
 import zlib
 from typing import Any, Dict
 
-from repro.serving.durability.wal import HEADER, MAX_RECORD_BYTES
+from repro.serving.durability import wal
 
 __all__ = ["SNAPSHOT_FORMAT", "SnapshotError", "read_snapshot", "write_snapshot"]
 
@@ -61,14 +61,18 @@ def write_snapshot(path: str, payload: Dict[str, Any]) -> int:
     """Atomically persist ``payload`` to ``path``; returns bytes written.
 
     tmp-write + fsync + ``os.replace`` + directory fsync: the target
-    name always refers to a complete, CRC-verifiable snapshot.
+    name always refers to a complete, CRC-verifiable snapshot.  A payload
+    past the frame cap raises :class:`~repro.serving.durability.wal.RecordTooLargeError`
+    before any file is touched, so the caller never truncates its WAL on
+    the promise of a snapshot :func:`read_snapshot` would refuse.
     """
-    body = json.dumps(
-        {**payload, "format": SNAPSHOT_FORMAT},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    framed = HEADER.pack(len(body), zlib.crc32(body)) + body
+    framed = wal.frame(
+        json.dumps(
+            {**payload, "format": SNAPSHOT_FORMAT},
+            separators=(",", ":"),
+            sort_keys=True,
+        ).encode("utf-8")
+    )
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(framed)
@@ -89,11 +93,11 @@ def read_snapshot(path: str) -> Dict[str, Any] | None:
         blob = open(path, "rb").read()
     except FileNotFoundError:
         return None
-    if len(blob) < HEADER.size:
+    if len(blob) < wal.HEADER.size:
         raise SnapshotError(f"snapshot {path} is shorter than its header")
-    length, crc = HEADER.unpack_from(blob, 0)
-    body = blob[HEADER.size : HEADER.size + length]
-    if length > MAX_RECORD_BYTES or len(body) != length:
+    length, crc = wal.HEADER.unpack_from(blob, 0)
+    body = blob[wal.HEADER.size : wal.HEADER.size + length]
+    if length > wal.MAX_RECORD_BYTES or len(body) != length:
         raise SnapshotError(f"snapshot {path} declares {length} bytes, has {len(body)}")
     if zlib.crc32(body) != crc:
         raise SnapshotError(f"snapshot {path} failed its CRC check")

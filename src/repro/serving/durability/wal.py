@@ -48,6 +48,8 @@ from repro.observability.metrics import get_metrics
 __all__ = [
     "FSYNC_POLICIES",
     "HEADER",
+    "MAX_RECORD_BYTES",
+    "RecordTooLargeError",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
@@ -61,7 +63,17 @@ FSYNC_POLICIES = ("always", "interval", "never")
 
 #: Refuse to trust frames claiming more than this many payload bytes: a
 #: corrupt length field must not make the scanner allocate gigabytes.
+#: Writers enforce the same cap (:func:`frame`), so no frame the readers
+#: would reject is ever written.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
+
+
+class RecordTooLargeError(ValueError):
+    """A frame would exceed :data:`MAX_RECORD_BYTES`.
+
+    Raised *before* anything is written: a reader would take the frame
+    for a torn tail and drop it together with every later record, so an
+    oversize mutation is rejected instead of acknowledged."""
 
 
 class WalRecord(NamedTuple):
@@ -84,10 +96,23 @@ class WalScan(NamedTuple):
     torn: bool
 
 
+def frame(body: bytes) -> bytes:
+    """``length + crc32 + body``; raises :class:`RecordTooLargeError`
+    past :data:`MAX_RECORD_BYTES` (read at call time, so a lowered cap
+    applies to WAL records and snapshots alike)."""
+    if len(body) > MAX_RECORD_BYTES:
+        raise RecordTooLargeError(
+            f"{len(body)}-byte record exceeds the {MAX_RECORD_BYTES}-byte "
+            "frame cap; nothing was written"
+        )
+    return HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
 def encode_record(payload: Dict[str, Any]) -> bytes:
     """Frame one payload object (which must already carry ``"seq"``)."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return HEADER.pack(len(body), zlib.crc32(body)) + body
+    return frame(
+        json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    )
 
 
 def read_wal(path: str) -> WalScan:

@@ -1,19 +1,28 @@
-"""JSON-lines request protocol of ``repro serve``.
+"""JSON-lines request protocol of ``repro serve`` and the coordinator.
 
 One request per line, one response per line.  Every request is an object
-with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
+with an ``"op"`` field; every response has ``"ok": true/false``.  One
+dispatcher, :func:`handle_request`, serves a single node and a cluster
+coordinator alike: a client tells them apart only by what responses
+carry — a single node labels answers with its ``generation`` counter, a
+coordinator with the per-shard ``generations`` vector (plus
+``missing_shards`` on query answers and ``shards`` on ``register`` and
+``ping``).  The ops:
 
 ``register``
     ``{"op": "register", "dataset": "qws", "points": [[...], ...]}`` or
     ``{"op": "register", "dataset": "qws", "generate": {"n": 500, "d": 4,
     "seed": 0}}`` (synthesises a QWS-like sample server-side, so clients
     don't ship megabytes of literals).  Optional ``scheme`` (default
-    ``"angle"``) and ``partitions``.
+    ``"angle"``) and ``partitions``; on a coordinator, optional
+    ``shard_fn`` (``"hash"`` / ``"angle"`` / ``"grid"`` / ``"dim"``;
+    omitted = single-shard placement).
 ``query``
     ``{"op": "query", "dataset": "qws", "kind": "skyline"}`` plus the
     kind-specific parameters (``k`` / ``lower`` + ``upper`` / ``dims``)
-    and an optional ``deadline_s``.  Response carries ``ids``,
-    ``generation``, ``cache_hit``, ``coalesced``, ``degraded``, ``status``.
+    and an optional ``deadline_s``.  Response carries ``ids``, the
+    generation, ``cache_hit``, ``degraded``, ``status`` (and
+    ``coalesced`` on a single node, ``missing_shards`` on a coordinator).
 ``shard_query``
     The cluster fan-out leg (``docs/cluster.md``): like ``query`` but the
     response carries candidate ``rows`` alongside ``ids`` plus traffic
@@ -21,7 +30,7 @@ with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
     ``filters`` row list prunes dominated candidates before they cross
     the wire.
 ``insert`` / ``remove``
-    Point mutations; responses carry the new ``generation`` (and the
+    Point mutations; responses carry the new generation (and the
     assigned ``id`` for inserts).
 ``stats`` / ``ping`` / ``shutdown``
     Operational introspection, liveness, and orderly stop.
@@ -37,7 +46,8 @@ with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
 Failures are responses, not broken connections: an invalid request gets
 ``{"ok": false, "status": "error", "error": ...}``; an admission-control
 rejection gets ``{"ok": false, "status": "rejected", "reason": ...}`` —
-the JSON-lines analogue of HTTP 429.
+the JSON-lines analogue of HTTP 429 — and a coordinator that lost every
+shard it needed ``{"ok": false, "status": "unavailable", ...}``.
 """
 
 from __future__ import annotations
@@ -49,8 +59,10 @@ import numpy as np
 from repro.serving.queries import QuerySpec
 from repro.serving.service import (
     ServiceOverloadedError,
+    ServiceUnavailableError,
     SkylineService,
     UnknownDatasetError,
+    generation_field,
 )
 
 __all__ = ["handle_request", "parse_query_spec"]
@@ -91,18 +103,20 @@ def _points_of(request: Dict[str, Any]) -> np.ndarray | None:
 
 def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
     dataset = str(request.get("dataset", ""))
+    shard_fn = request.get("shard_fn")
     generation = service.register(
         dataset,
         _points_of(request),
         scheme=str(request.get("scheme", "angle")),
         num_partitions=int(request.get("partitions", 8)),
+        shard_fn=str(shard_fn) if shard_fn is not None else None,
     )
-    return {
-        "ok": True,
-        "dataset": dataset,
-        "generation": generation,
-        "size": len(service.store(dataset)),
-    }
+    response = {"ok": True, "dataset": dataset, **generation_field(generation)}
+    if service.num_shards is None:
+        response["size"] = len(service.store(dataset))
+    else:
+        response["shards"] = service.num_shards
+    return response
 
 
 def _handle_query(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -139,14 +153,14 @@ def _handle_insert(service: SkylineService, request: Dict[str, Any]) -> Dict[str
     point_id, generation = service.insert(
         str(request.get("dataset", "")), request["point"]
     )
-    return {"ok": True, "id": point_id, "generation": generation}
+    return {"ok": True, "id": point_id, **generation_field(generation)}
 
 
 def _handle_remove(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
     generation = service.remove(
         str(request.get("dataset", "")), int(request["id"])
     )
-    return {"ok": True, "generation": generation}
+    return {"ok": True, **generation_field(generation)}
 
 
 def _handle_events(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -211,10 +225,18 @@ def handle_request(
         if op == "metrics":
             return _handle_metrics(service, request)
         if op == "ping":
-            return {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
+            pong = {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
+            if service.num_shards is not None:
+                pong["shards"] = service.num_shards
+            return pong
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "status": "error", "error": f"unknown op {op!r}"}
+    except ServiceUnavailableError as exc:
+        unavailable = {"ok": False, "status": "unavailable", "error": str(exc)}
+        if exc.shard is not None:
+            unavailable["shard"] = exc.shard
+        return unavailable
     except ServiceOverloadedError as exc:
         return {
             "ok": False,

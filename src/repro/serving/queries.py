@@ -23,7 +23,7 @@ its :meth:`~QuerySpec.cache_key` — ``(dataset, kind, params, generation)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,10 +31,24 @@ from repro.core.kernels import DominanceKernel, get_kernel
 from repro.core.skyband import k_skyband
 from repro.core.skyline import skyline
 
-__all__ = ["QUERY_KINDS", "QuerySpec", "candidate_prune_mask", "evaluate"]
+__all__ = ["QUERY_KINDS", "Answer", "QuerySpec", "candidate_prune_mask", "evaluate"]
 
 #: The query kinds the service understands.
 QUERY_KINDS = ("skyline", "skyband", "constrained", "subspace")
+
+
+class Answer(NamedTuple):
+    """One dataset backend's answer to one query (``Backend.answer``)."""
+
+    #: The generation the ids are exact at: an int for a local store, the
+    #: per-shard generation vector for a sharded dataset.
+    generation: Any
+    ids: List[int]
+    #: Whether the plane may cache the ids under ``generation`` (a partial
+    #: or racy cluster answer is never cached).
+    cacheable: bool = True
+    #: Shards a degraded partial answer is missing (cluster only).
+    missing_shards: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +111,12 @@ class QuerySpec:
             return (self.dims,)
         return ()
 
-    def cache_key(self, generation: int) -> Tuple[Any, ...]:
-        """The versioned result-cache key for this query at ``generation``."""
-        return (self.dataset, self.kind, self.params_key(), int(generation))
+    def cache_key(self, generation: int | Tuple[int, ...]) -> Tuple[Any, ...]:
+        """The versioned result-cache key for this query at ``generation``
+        (a store's counter or a sharded dataset's generation vector)."""
+        if not isinstance(generation, tuple):
+            generation = int(generation)
+        return (self.dataset, self.kind, self.params_key(), generation)
 
     def describe(self) -> str:
         """Short human-readable label used in spans and logs."""

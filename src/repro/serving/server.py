@@ -1,8 +1,8 @@
 """Serving front ends: JSON-lines over stdio or a threading TCP socket.
 
 ``repro serve`` (see :mod:`repro.cli`) builds a
-:class:`~repro.serving.service.SkylineService` and hands it to one of the
-two loops here:
+:class:`~repro.serving.service.SkylineService` (or its cluster
+coordinator subclass) and hands it to one of the two loops here:
 
 * :func:`serve_stdio` — one session over stdin/stdout, the default.  A
   client drives it through a pipe (see
@@ -12,8 +12,8 @@ two loops here:
   its own session thread, so concurrent clients exercise the service's
   admission control and coalescing for real.
 
-Both loops speak the protocol of :mod:`repro.serving.protocol` and exit
-cleanly on a successful ``shutdown`` op.
+Both loops dispatch through :func:`repro.serving.protocol.handle_request`
+and exit cleanly on a successful ``shutdown`` op.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import socketserver
 import sys
 import threading
 import time
-from typing import IO, Any, Callable, Dict, Iterable
+from typing import IO, Any, Dict, Iterable
 
 from repro.observability.events import get_events
 from repro.serving.protocol import handle_request
@@ -36,24 +36,13 @@ __all__ = ["serve_lines", "serve_stdio", "make_tcp_server"]
 #: event instead of silently relying on process exit to reap it.
 DEFAULT_STOP_JOIN_S = 5.0
 
-#: A request dispatcher: ``(service, decoded request) -> response object``.
-#: :func:`repro.serving.protocol.handle_request` is the single-node one;
-#: the cluster coordinator plugs in its own and reuses both loops.
-RequestHandler = Callable[[Any, Dict[str, Any]], Dict[str, Any]]
-
 
 def _respond(out: IO[str], response: Dict[str, Any]) -> None:
     out.write(json.dumps(response, default=str) + "\n")
     out.flush()
 
 
-def serve_lines(
-    service: Any,
-    lines: Iterable[str],
-    out: IO[str],
-    *,
-    handler: RequestHandler = handle_request,
-) -> bool:
+def serve_lines(service: Any, lines: Iterable[str], out: IO[str]) -> bool:
     """Run one request/response session; True if it ended via ``shutdown``."""
     for line in lines:
         line = line.strip()
@@ -67,7 +56,7 @@ def serve_lines(
                 {"ok": False, "status": "error", "error": f"bad JSON: {exc}"},
             )
             continue
-        response = handler(service, request)
+        response = handle_request(service, request)
         _respond(out, response)
         if (
             isinstance(request, dict)
@@ -82,15 +71,12 @@ def serve_stdio(
     service: Any,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
-    *,
-    handler: RequestHandler = handle_request,
 ) -> None:
     """Serve one session over stdin/stdout (the ``repro serve`` default)."""
     serve_lines(
         service,
         stdin if stdin is not None else sys.stdin,
         stdout if stdout is not None else sys.stdout,
-        handler=handler,
     )
 
 
@@ -101,7 +87,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         server: "ServingTCPServer" = self.server  # type: ignore[assignment]
         reader = (raw.decode("utf-8", "replace") for raw in self.rfile)
         out = _TextOut(self.wfile)
-        if serve_lines(server.service, reader, out, handler=server.handler):
+        if serve_lines(server.service, reader, out):
             # A successful shutdown op stops the whole server, not just
             # this session; shutdown() must come from another thread
             # (stop() joins the other sessions and skips this one).
@@ -122,7 +108,7 @@ class _TextOut:
 
 
 class ServingTCPServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server bound to one service and one dispatcher.
+    """Threading TCP server bound to one service.
 
     Session threads are tracked (not merely daemonised): a clean stop
     joins them with a bound, so in-flight responses get to finish and
@@ -134,15 +120,9 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: tuple,
-        service: Any,
-        handler: RequestHandler = handle_request,
-    ):
+    def __init__(self, address: tuple, service: Any):
         super().__init__(address, _SessionHandler)
         self.service = service
-        self.handler = handler
         self._sessions_lock = threading.Lock()
         self._sessions: Dict[int, threading.Thread] = {}
         self._stopped = threading.Event()
@@ -198,12 +178,8 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
 
 
 def make_tcp_server(
-    service: Any,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    handler: RequestHandler = handle_request,
+    service: Any, host: str = "127.0.0.1", port: int = 0
 ) -> ServingTCPServer:
     """Bind a TCP server (``port=0`` picks a free port; see
     ``server.server_address``); the caller runs ``serve_forever()``."""
-    return ServingTCPServer((host, port), service, handler)
+    return ServingTCPServer((host, port), service)

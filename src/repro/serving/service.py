@@ -1,46 +1,46 @@
-"""The online skyline query service: admission, coalescing, cache, compute.
+"""The request plane: admission, cache, coalescing, compute — once.
 
-One :class:`SkylineService` holds a :class:`~repro.serving.store.SkylineStore`
-per registered dataset and answers concurrent queries without rerunning
-the batch MapReduce pipeline.  The serve path of every request is::
+One :class:`SkylineService` answers concurrent queries over registered
+datasets without rerunning the batch MapReduce pipeline.  Each dataset
+is a :class:`Backend` — a local :class:`~repro.serving.store.SkylineStore`
+here, a :class:`~repro.serving.cluster.coordinator.ShardedDataset` in the
+:class:`~repro.serving.cluster.coordinator.ClusterCoordinator` subclass —
+and every request takes the same path::
 
-    request -> admission -> cache -> [coalesce] -> compute
+    request -> admission -> cache -> [coalesce] -> backend.answer
 
 * **Admission control.**  At most ``max_inflight`` requests execute at
-  once (a bounded semaphore); up to ``max_queue`` more may wait.  A
-  request arriving beyond that capacity is *shed*: it gets the newest
-  cached answer for the same query flagged ``degraded=True`` when one
-  exists (the PR-4 degrade vocabulary — stale but never wrong), else a
-  429-style :class:`ServiceOverloadedError`.
+  once; up to ``max_queue`` more may wait.  A request beyond that is
+  *shed*: it gets the newest cached answer for the same query flagged
+  ``degraded=True`` when one exists (stale but never wrong), else a
+  429-style :class:`ServiceOverloadedError`.  A backend that cannot
+  answer at all (every shard lost) raises :class:`ServiceUnavailableError`
+  and takes the same shed path.
 * **Request coalescing.**  Identical in-flight queries (same versioned
-  cache key) share one computation: the first request becomes the leader
-  and computes; followers wait on its flight and reuse the result — one
-  ``serve.compute`` span, many ``serve.request`` spans.
+  cache key: a store's generation or a shard generation vector) share
+  one computation — one compute span, many request spans.
 * **Deadlines.**  Per-query deadlines run on the fault-tolerance clock
   (:class:`~repro.mapreduce.faults.MonotonicClock`; tests inject a fake),
-  and bound both queue wait and coalesced waits.
-* **Observability.**  Serve-path spans (``serve.request`` →
-  ``serve.admission`` / ``serve.cache`` / ``serve.compute``), the
-  ``serve.*`` counters (requests, cache.hits/misses, shed, coalesced,
-  degraded, computes, mutations, deadline_exceeded) and the
-  ``serve.latency_s`` histogram all land in the PR-1 observability layer.
-  On top of those, every shed/degraded answer emits a structured event
-  (:mod:`repro.observability.events`), every finished request feeds the
-  multi-window SLO burn tracker (:mod:`repro.observability.slo`), and an
-  edge-triggered :class:`~repro.observability.metrics.ThresholdWatch` on
-  the per-dataset ``partition.skew.*`` gauges emits ``skew.alert`` events
-  — all served live by the ``stats`` / ``health`` / ``slo`` / ``events``
-  protocol verbs and rendered by ``repro top``.
+  bound queue and coalesced waits, and reach the backend.
+* **Observability.**  ``<prefix>.request`` → ``.admission`` / ``.cache``
+  / ``.compute`` spans, ``<prefix>.*`` counters and the
+  ``<prefix>.latency_s`` histogram, shed/degraded events, the SLO burn
+  tracker and a skew watch on the ``partition.skew.*`` gauges — served by
+  the ``stats`` / ``health`` / ``slo`` / ``events`` verbs.  The prefix
+  (:attr:`SkylineService.metric_prefix`) is ``serve`` here and
+  ``serve.cluster`` on the coordinator, which shares a metrics registry
+  with its shards when they run in one process.
 
-Thread-safety: the flight table and queue depth mutate only under
-``self._lock``; per-dataset state is guarded by each store's own lock.
+Thread-safety: the backend table, flight table and queue depth mutate
+only under ``self._lock``; per-dataset state is guarded by each
+backend's own lock.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -52,15 +52,17 @@ from repro.observability.metrics import Histogram, get_metrics
 from repro.observability.slo import SLOTracker, default_objectives
 from repro.observability.tracing import get_tracer
 from repro.serving.cache import ResultCache
-from repro.serving.queries import QuerySpec, candidate_prune_mask, evaluate
+from repro.serving.queries import Answer, QuerySpec, candidate_prune_mask, evaluate
 from repro.serving.store import DEFAULT_MR_BULK_THRESHOLD, SkylineStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.durability.manager import DurabilityManager
 
 __all__ = [
+    "Backend",
     "ServeConfig",
     "ServiceOverloadedError",
+    "ServiceUnavailableError",
     "UnknownDatasetError",
     "QueryResponse",
     "SkylineService",
@@ -75,8 +77,38 @@ class ServiceOverloadedError(RuntimeError):
         self.reason = reason
 
 
+class ServiceUnavailableError(RuntimeError):
+    """503-style: the backend lost every source of the answer (all owning
+    shards, or the one shard a write routes to)."""
+
+    def __init__(self, message: str, *, missing: Sequence[int] = (), shard: int | None = None):
+        super().__init__(message)
+        self.missing = sorted(missing)
+        self.shard = shard
+
+
 class UnknownDatasetError(KeyError):
     """The query named a dataset that was never registered."""
+
+
+class Backend(Protocol):
+    """One registered dataset as the request plane sees it."""
+
+    @property
+    def generation(self) -> Any:
+        """The current cache-key generation (an int, or a tuple)."""
+
+    def answer(self, spec: QuerySpec, remaining_s: float | None) -> Answer:
+        """Compute one query; may raise :class:`ServiceUnavailableError`."""
+
+    def insert(self, point: Sequence[float] | np.ndarray) -> Tuple[int, Any]:
+        """Add one row; returns ``(point id, new generation)``."""
+
+    def remove(self, point_id: int) -> Any:
+        """Drop one row; returns the new generation."""
+
+    def describe(self) -> Dict[str, Any]:
+        """The per-dataset row of the ``stats`` op."""
 
 
 @dataclass(slots=True)
@@ -152,25 +184,40 @@ class QueryResponse:
     dataset: str
     kind: str
     ids: List[int]
-    generation: int
+    #: A local store's generation, or a sharded dataset's generation vector.
+    generation: Any
     cache_hit: bool = False
     coalesced: bool = False
     degraded: bool = False
     status: str = "ok"
     latency_s: float = 0.0
+    #: Shards a degraded cluster answer is missing.
+    missing_shards: List[int] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
+        # A coordinator's answer also names the shards it is missing; only
+        # a single node reports coalescing on the wire.
+        sharded = isinstance(self.generation, tuple)
         return {
             "dataset": self.dataset,
             "kind": self.kind,
             "ids": list(self.ids),
-            "generation": self.generation,
+            **generation_field(self.generation),
             "cache_hit": self.cache_hit,
-            "coalesced": self.coalesced,
+            **({} if sharded else {"coalesced": self.coalesced}),
             "degraded": self.degraded,
+            **({"missing_shards": list(self.missing_shards)} if sharded else {}),
             "status": self.status,
             "latency_s": round(self.latency_s, 9),
         }
+
+
+def generation_field(generation: Any) -> Dict[str, Any]:
+    """The wire spelling of a generation: a store's ``generation`` counter
+    or a sharded dataset's ``generations`` vector."""
+    if isinstance(generation, tuple):
+        return {"generations": list(generation)}
+    return {"generation": generation}
 
 
 class _Flight:
@@ -200,6 +247,11 @@ class _Request:
 class SkylineService:
     """Long-running skyline query service over registered datasets."""
 
+    #: Prefix of every metric, span and event the plane emits.
+    metric_prefix = "serve"
+    #: Shard servers behind the plane (``None``: a single node).
+    num_shards: int | None = None
+
     def __init__(
         self,
         config: ServeConfig | None = None,
@@ -212,7 +264,7 @@ class SkylineService:
         self.durability = durability
         self.clock = clock if clock is not None else MonotonicClock()
         self._lock = threading.RLock()
-        self._stores: Dict[str, SkylineStore] = {}
+        self._backends: Dict[str, Backend] = {}
         self._cache = ResultCache(self.config.cache_entries)
         self._flights: Dict[Tuple[Any, ...], _Flight] = {}
         self._queued = 0
@@ -235,6 +287,9 @@ class SkylineService:
             self._on_skew_alert,
         )
 
+    def _name(self, suffix: str) -> str:
+        return f"{self.metric_prefix}.{suffix}"
+
     def _on_skew_alert(self, gauge: str, value: float, watch: Any) -> None:
         get_events().emit(
             "skew.alert",
@@ -252,10 +307,35 @@ class SkylineService:
         *,
         scheme: str = "angle",
         num_partitions: int = 8,
-    ) -> int:
-        """Create (or replace) a dataset; returns its generation."""
+        shard_fn: str | None = None,
+    ) -> Any:
+        """Create (or replace) a dataset; returns its generation.
+
+        ``scheme`` / ``num_partitions`` set the store's partitioning;
+        ``shard_fn`` places rows across a cluster's shards (a single node
+        holds every row, so it ignores it).
+        """
         if not name:
             raise ValueError("dataset name must be non-empty")
+        backend = self._new_backend(
+            name,
+            points,
+            scheme=scheme,
+            num_partitions=num_partitions,
+            shard_fn=shard_fn,
+        )
+        return self.adopt_store(name, backend)
+
+    def _new_backend(
+        self,
+        name: str,
+        points: np.ndarray | None,
+        *,
+        scheme: str,
+        num_partitions: int,
+        shard_fn: str | None,
+    ) -> Backend:
+        """Build (and load) one dataset's backend: a local store."""
         store = SkylineStore(
             name,
             scheme=scheme,
@@ -275,24 +355,18 @@ class SkylineService:
             log.log_register(store.store_config())
         if points is not None:
             store.bulk_load(points)
-        with self._lock:
-            replaced = name in self._stores
-            self._stores[name] = store
-            get_metrics().gauge("serve.datasets").set(len(self._stores))
-        if replaced:
-            # The fresh store restarts its generation counter, so cached
-            # answers of the previous incarnation must not be addressable.
-            self._cache.invalidate(name)
-        return store.generation
+        return store
 
-    def adopt_store(self, name: str, store: SkylineStore) -> int:
-        """Install an externally-built store (the recovery path) as a
-        dataset; returns its generation."""
+    def adopt_store(self, name: str, store: Backend) -> Any:
+        """Install a built backend (a fresh register, or a store rebuilt by
+        recovery) as a dataset; returns its generation."""
         with self._lock:
-            replaced = name in self._stores
-            self._stores[name] = store
-            get_metrics().gauge("serve.datasets").set(len(self._stores))
+            replaced = name in self._backends
+            self._backends[name] = store
+            get_metrics().gauge(self._name("datasets")).set(len(self._backends))
         if replaced:
+            # The fresh backend restarts its generation, so cached answers
+            # of the previous incarnation must not be addressable.
             self._cache.invalidate(name)
         return store.generation
 
@@ -323,19 +397,15 @@ class SkylineService:
                 reports.append(report)
         return reports
 
-    def sync_durability(self) -> None:
-        """Flush every WAL to stable storage (shutdown / signal path)."""
-        if self.durability is not None:
-            self.durability.sync()
-
     def datasets(self) -> List[str]:
         with self._lock:
-            return sorted(self._stores)
+            return sorted(self._backends)
 
-    def store(self, name: str) -> SkylineStore:
+    def store(self, name: str) -> Any:
+        """The dataset's backend (a :class:`SkylineStore` on a single node)."""
         with self._lock:
             try:
-                return self._stores[name]
+                return self._backends[name]
             except KeyError:
                 raise UnknownDatasetError(name) from None
 
@@ -343,28 +413,29 @@ class SkylineService:
 
     def insert(
         self, dataset: str, point: Sequence[float] | np.ndarray
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, Any]:
         """Insert into a dataset; returns ``(point id, new generation)``."""
-        with get_tracer().span("serve.mutation", kind="serve",
+        with get_tracer().span(self._name("mutation"), kind="serve",
                                dataset=dataset, op="insert"):
             result = self.store(dataset).insert(point)
-        get_metrics().counter("serve.mutations").inc()
+        get_metrics().counter(self._name("mutations")).inc()
         return result
 
-    def remove(self, dataset: str, point_id: int) -> int:
+    def remove(self, dataset: str, point_id: int) -> Any:
         """Remove from a dataset; returns the new generation."""
-        with get_tracer().span("serve.mutation", kind="serve",
+        with get_tracer().span(self._name("mutation"), kind="serve",
                                dataset=dataset, op="remove"):
             generation = self.store(dataset).remove(point_id)
-        get_metrics().counter("serve.mutations").inc()
+        get_metrics().counter(self._name("mutations")).inc()
         return generation
 
     def bulk_load(self, dataset: str, points: np.ndarray) -> Tuple[List[int], int]:
-        """Bulk-insert; returns ``(new point ids, new generation)``."""
-        with get_tracer().span("serve.mutation", kind="serve",
+        """Bulk-insert into a local store; returns ``(new point ids, new
+        generation)``."""
+        with get_tracer().span(self._name("mutation"), kind="serve",
                                dataset=dataset, op="bulk_load"):
             result = self.store(dataset).bulk_load(points)
-        get_metrics().counter("serve.mutations").inc()
+        get_metrics().counter(self._name("mutations")).inc()
         return result
 
     # -- the serve path ---------------------------------------------------------
@@ -373,14 +444,16 @@ class SkylineService:
         self, spec: QuerySpec, *, deadline_s: float | None = None
     ) -> QueryResponse:
         """Serve one query; raises :class:`ServiceOverloadedError` on shed
-        without a stale answer, :class:`UnknownDatasetError` on a bad name."""
+        without a stale answer, :class:`ServiceUnavailableError` when the
+        backend cannot answer and nothing stale is cached, and
+        :class:`UnknownDatasetError` on a bad name."""
         metrics = get_metrics()
         tracer = get_tracer()
-        metrics.counter("serve.requests").inc()
+        metrics.counter(self._name("requests")).inc()
         req = _Request(
             spec=spec,
             span=tracer.start_span(
-                "serve.request", kind="serve",
+                self._name("request"), kind="serve",
                 dataset=spec.dataset, query=spec.kind,
             ),
             start=self.clock.monotonic(),
@@ -390,8 +463,8 @@ class SkylineService:
             ),
         )
         try:
-            store = self.store(spec.dataset)
-            response = self._serve(req, store)
+            backend = self.store(spec.dataset)
+            response = self._serve(req, backend)
             req.status = response.status
             response.latency_s = self.clock.monotonic() - req.start
             return response
@@ -401,7 +474,7 @@ class SkylineService:
             raise
         finally:
             latency_s = self.clock.monotonic() - req.start
-            metrics.histogram("serve.latency_s").observe(latency_s)
+            metrics.histogram(self._name("latency_s")).observe(latency_s)
             # SLO accounting: a degraded (stale) answer is still an answer;
             # errors and shed-without-stale burn the availability budget.
             self.slo.record(latency_s, ok=req.status in ("ok", "degraded"))
@@ -419,7 +492,7 @@ class SkylineService:
             return None
         return req.deadline_s - (self.clock.monotonic() - req.start)
 
-    def _serve(self, req: _Request, store: SkylineStore) -> QueryResponse:
+    def _serve(self, req: _Request, backend: Backend) -> QueryResponse:
         if not self._admit(req):
             remaining = self._remaining_s(req)
             reason = (
@@ -428,17 +501,21 @@ class SkylineService:
             )
             return self._shed(req, reason)
         try:
-            cached = self._check_cache(req, store)
+            cached = self._check_cache(req, backend)
             if cached is not None:
                 return cached
-            return self._coalesced_compute(req, store)
+            return self._coalesced_compute(req, backend)
+        except ServiceUnavailableError as exc:
+            return self._shed(req, "unavailable", exc)
         finally:
             self._admission.release()
 
     def _admit(self, req: _Request) -> bool:
         """Take an admission permit; False means over capacity or deadline."""
         tracer = get_tracer()
-        span = tracer.start_span("serve.admission", kind="serve", parent=req.span)
+        span = tracer.start_span(
+            self._name("admission"), kind="serve", parent=req.span
+        )
         admitted = self._admission.acquire(blocking=False)
         waited = False
         if not admitted:
@@ -461,27 +538,35 @@ class SkylineService:
         tracer.end_span(span)
         return admitted
 
-    def _shed(self, req: _Request, reason: str) -> QueryResponse:
-        """Over-admission: degraded stale answer when possible, else 429."""
+    def _shed(
+        self,
+        req: _Request,
+        reason: str,
+        error: ServiceUnavailableError | None = None,
+    ) -> QueryResponse:
+        """Over capacity, past deadline, or backend unavailable: degraded
+        stale answer when possible, else the rejection."""
         metrics = get_metrics()
-        metrics.counter("serve.shed").inc()
-        get_events().emit(
-            "serve.shed",
+        events = get_events()
+        metrics.counter(self._name("shed")).inc()
+        events.emit(
+            self._name("shed"),
             dataset=req.spec.dataset,
             query=req.spec.kind,
             reason=reason,
         )
         if reason == "deadline":
-            metrics.counter("serve.deadline_exceeded").inc()
+            metrics.counter(self._name("deadline_exceeded")).inc()
+        missing = error.missing if error is not None else []
         if self.config.stale_on_overload:
             stale = self._cache.latest(
                 req.spec.dataset, req.spec.kind, req.spec.params_key()
             )
             if stale is not None:
                 generation, ids = stale
-                metrics.counter("serve.degraded").inc()
-                get_events().emit(
-                    "serve.degraded",
+                metrics.counter(self._name("degraded")).inc()
+                events.emit(
+                    self._name("degraded"),
                     dataset=req.spec.dataset,
                     query=req.spec.kind,
                     reason=reason,
@@ -496,8 +581,11 @@ class SkylineService:
                     cache_hit=True,
                     degraded=True,
                     status="degraded",
+                    missing_shards=missing,
                 )
         req.span.set_attrs(shed_reason=reason)
+        if error is not None:
+            raise error
         raise ServiceOverloadedError(
             f"query {req.spec.describe()} shed ({reason}): "
             f"{self.config.max_inflight} in flight, "
@@ -506,19 +594,20 @@ class SkylineService:
         )
 
     def _check_cache(
-        self, req: _Request, store: SkylineStore
+        self, req: _Request, backend: Backend
     ) -> QueryResponse | None:
         tracer = get_tracer()
-        metrics = get_metrics()
-        generation = store.generation
+        generation = backend.generation
         key = req.spec.cache_key(generation)
-        span = tracer.start_span("serve.cache", kind="serve", parent=req.span)
+        span = tracer.start_span(self._name("cache"), kind="serve", parent=req.span)
         ids = self._cache.get(key)
         hit = ids is not None
         span.set_attrs(hit=hit, generation=generation)
         tracer.end_span(span)
         req.span.set_attrs(cache="hit" if hit else "miss", key=req.spec.describe())
-        metrics.counter("serve.cache.hits" if hit else "serve.cache.misses").inc()
+        get_metrics().counter(
+            self._name("cache.hits" if hit else "cache.misses")
+        ).inc()
         if ids is None:
             return None
         return QueryResponse(
@@ -530,10 +619,10 @@ class SkylineService:
         )
 
     def _coalesced_compute(
-        self, req: _Request, store: SkylineStore
+        self, req: _Request, backend: Backend
     ) -> QueryResponse:
         """Compute once per (query, generation); identical requests share it."""
-        key = req.spec.cache_key(store.generation)
+        key = req.spec.cache_key(backend.generation)
         leader = False
         with self._lock:
             flight = self._flights.get(key)
@@ -546,7 +635,7 @@ class SkylineService:
         req.flight = flight
         if leader:
             try:
-                response = self._compute(req, store, key)
+                response = self._compute(req, backend)
                 flight.response = response
                 return response
             except BaseException as exc:
@@ -560,8 +649,7 @@ class SkylineService:
 
     def _follow(self, req: _Request, flight: _Flight) -> QueryResponse:
         """Wait for the flight leader's result (bounded by the deadline)."""
-        metrics = get_metrics()
-        metrics.counter("serve.coalesced").inc()
+        get_metrics().counter(self._name("coalesced")).inc()
         req.span.set_attrs(coalesced=True)
         remaining = self._remaining_s(req)
         finished = flight.event.wait(timeout=remaining)
@@ -572,47 +660,36 @@ class SkylineService:
         assert flight.response is not None
         return replace(flight.response, coalesced=True)
 
-    def _compute(
-        self, req: _Request, store: SkylineStore, key: Tuple[Any, ...]
-    ) -> QueryResponse:
-        metrics = get_metrics()
-        tracer = get_tracer()
-        metrics.counter("serve.computes").inc()
-        span = tracer.start_span(
-            "serve.compute", kind="serve", parent=req.span,
+    def _compute(self, req: _Request, backend: Backend) -> QueryResponse:
+        get_metrics().counter(self._name("computes")).inc()
+        with get_tracer().span(
+            self._name("compute"), kind="serve", parent=req.span,
             dataset=req.spec.dataset, query=req.spec.kind,
             key=req.spec.describe(),
-        )
-        status = "ok"
-        try:
-            if req.spec.kind == "skyline":
-                # The amortised path: the incremental structure answers from
-                # its per-partition local skylines (one cached BNL merge).
-                generation, ids = store.skyline_snapshot()
-            else:
-                snap = store.snapshot()
-                generation = snap.generation
-                ids = evaluate(req.spec, snap.ids, snap.rows)
-            # The snapshot's generation may be newer than the one the cache
-            # key was derived from (a mutation raced in); the result is
-            # cached and labelled under the generation actually computed.
-            self._cache.put(req.spec.cache_key(generation), ids)
+        ) as span:
+            answer = backend.answer(req.spec, self._remaining_s(req))
+            if answer.cacheable:
+                # The answer's generation may be newer than the one the
+                # cache key was derived from (a mutation raced in); it is
+                # cached under the generation actually computed.
+                self._cache.put(req.spec.cache_key(answer.generation), answer.ids)
             span.set_attrs(
-                generation=generation,
-                results=len(ids),
+                generation=answer.generation,
+                results=len(answer.ids),
                 requests=req.flight.requests if req.flight is not None else 1,
             )
-            return QueryResponse(
-                dataset=req.spec.dataset,
-                kind=req.spec.kind,
-                ids=ids,
-                generation=generation,
-            )
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            tracer.end_span(span, status=status)
+        missing = list(answer.missing_shards)
+        if missing:
+            req.span.set_attrs(degraded=True, missing=missing)
+        return QueryResponse(
+            dataset=req.spec.dataset,
+            kind=req.spec.kind,
+            ids=answer.ids,
+            generation=answer.generation,
+            degraded=bool(missing),
+            status="degraded" if missing else "ok",
+            missing_shards=missing,
+        )
 
     # -- cluster shard duty -----------------------------------------------------
 
@@ -683,32 +760,33 @@ class SkylineService:
     def uptime_s(self) -> float:
         return self.clock.monotonic() - self._started_at
 
+    def _shard_table(self) -> Dict[str, Dict[str, Any]]:
+        """Per-shard rows of ``stats`` (none on a single node)."""
+        return {}
+
     def stats(self) -> Dict[str, Any]:
         """JSON-ready operational snapshot (the protocol's ``stats`` op).
 
-        Everything ``repro top`` renders in one poll: per-dataset
-        generation/size, cache and admission state, the ``serve.*``
-        counters, the ``serve.*``/``partition.*`` gauges (partition-skew
-        above all), and the serve-latency histogram summary.  Counters are
-        cumulative; pollers rate them with
+        Everything ``repro top`` renders in one poll, in one schema for
+        both backends: per-dataset rows (:meth:`Backend.describe`), the
+        shard table (empty on a single node), cache and admission state,
+        the ``serve.*`` / ``prune.*`` / ``wal.*`` / ``durability.*``
+        counters, the ``serve.*`` / ``partition.*`` / ``durability.*``
+        gauges (partition-skew above all), and the plane's latency
+        histogram.  Counters are cumulative; pollers rate them with
         :func:`repro.observability.export.snapshot_delta`.
         """
         snapshot = get_metrics().snapshot()
         with self._lock:
-            datasets = {
-                name: {
-                    "size": len(s),
-                    "generation": s.generation,
-                    "kernel": s.kernel_name,
-                }
-                for name, s in sorted(self._stores.items())
-            }
+            backends = sorted(self._backends.items())
             queued = self._queued
             inflight = len(self._flights)
+        latency = self._name("latency_s")
         return {
             "uptime_s": round(self.uptime_s(), 6),
             "kernel": get_kernel(self.config.kernel).name,
-            "datasets": datasets,
+            "datasets": {name: backend.describe() for name, backend in backends},
+            "shards": self._shard_table(),
             "cache": self._cache.stats(),
             "queued": queued,
             "inflight_computes": inflight,
@@ -723,7 +801,7 @@ class SkylineService:
                 if name.startswith(("serve.", "partition.", "durability."))
             },
             "latency": snapshot["histograms"].get(
-                "serve.latency_s", Histogram("serve.latency_s").snapshot()
+                latency, Histogram(latency).snapshot()
             ),
             "events": get_events().counts(),
         }
@@ -735,17 +813,24 @@ class SkylineService:
     def health(self) -> Dict[str, Any]:
         """Liveness + burn-driven readiness (the ``health`` op).
 
-        ``healthy`` while every SLO is within budget; a ticket-level burn
-        reports ``degraded`` and a page-level burn ``unhealthy`` — the
-        states a load balancer or the ``repro top`` header needs, without
-        shipping the whole burn report.
+        ``healthy`` while every SLO is within budget and every shard is
+        up; a ticket-level burn or an unreachable shard reports
+        ``degraded`` and a page-level burn ``unhealthy`` — the states a
+        load balancer or the ``repro top`` header needs, without shipping
+        the whole burn report.
         """
         slo_state = self.slo.evaluate()["state"]
         status = {"ok": "healthy", "ticket": "degraded", "page": "unhealthy"}[
             slo_state
         ]
+        down = sorted(
+            name for name, shard in self._shard_table().items()
+            if shard["state"] != "up"
+        )
+        if down and status == "healthy":
+            status = "degraded"
         with self._lock:
-            datasets = len(self._stores)
+            datasets = len(self._backends)
             queued = self._queued
             inflight = len(self._flights)
         return {
@@ -755,6 +840,7 @@ class SkylineService:
             "datasets": datasets,
             "queued": queued,
             "inflight_computes": inflight,
+            "shards_down": down,
         }
 
     def events_tail(

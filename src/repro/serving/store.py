@@ -31,6 +31,7 @@ from repro.core.partitioning import make_partitioner
 from repro.mapreduce.executors import Executor
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics, observe_partition_skew
+from repro.serving.queries import Answer, QuerySpec, evaluate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (durability -> store)
     from repro.serving.durability.manager import DatasetLog
@@ -148,6 +149,27 @@ class SkylineStore:
             if self._sky is None:
                 return self._generation, []
             return self._generation, self._sky.global_skyline()
+
+    # -- request-plane backend --------------------------------------------------
+
+    def answer(self, spec: QuerySpec, remaining_s: float | None = None) -> Answer:
+        """Answer one query for the request plane (``Backend.answer``).
+
+        ``skyline`` takes the amortised path (the per-partition local
+        skylines, one cached BNL merge); every other kind evaluates over
+        a consistent snapshot.  The local compute is not interruptible,
+        so ``remaining_s`` is not consulted.
+        """
+        if spec.kind == "skyline":
+            generation, ids = self.skyline_snapshot()
+        else:
+            snap = self.snapshot()
+            generation, ids = snap.generation, evaluate(spec, snap.ids, snap.rows)
+        return Answer(generation, ids)
+
+    def describe(self) -> Dict[str, Any]:
+        """The per-dataset row of the ``stats`` op."""
+        return {"size": len(self), "generation": self.generation, "kernel": self.kernel_name}
 
     # -- mutations --------------------------------------------------------------
 
@@ -295,12 +317,6 @@ class SkylineStore:
                 return False
             self._durability.checkpoint(self._durable_state_locked())
             return True
-
-    def sync_durability(self) -> None:
-        """Flush the WAL to stable storage (signal-exit / shutdown path)."""
-        with self._lock:
-            if self._durability is not None:
-                self._durability.sync()
 
     def store_config(self) -> Dict[str, Any]:
         """Construction parameters, as persisted in register records and

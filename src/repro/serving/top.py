@@ -113,30 +113,17 @@ def render_frame(
         head += f"   every {interval_s:g}s"
     lines.append(head)
 
-    cluster_frame = bool(stats.get("shards"))
-    if cluster_frame:
-        # Coordinator stats spell their counters serve.cluster.*.
-        requests = counters.get("serve.cluster.requests", 0)
-        line = f"requests {requests}"
-        if previous is not None:
-            line += f" ({_rate(deltas.get('serve.cluster.requests', 0), dt)})"
-        line += (
-            f"   degraded {counters.get('serve.cluster.degraded', 0)}"
-            f"   shard-lost {counters.get('serve.shard.lost', 0)}"
-            f"   mutations {counters.get('serve.cluster.mutations', 0)}"
-        )
-    else:
-        requests = counters.get("serve.requests", 0)
-        line = f"requests {requests}"
-        if previous is not None:
-            line += f" ({_rate(deltas.get('serve.requests', 0), dt)})"
-        line += (
-            f"   computes {counters.get('serve.computes', 0)}"
-            f"   coalesced {counters.get('serve.coalesced', 0)}"
-            f"   shed {counters.get('serve.shed', 0)}"
-            f"   degraded {counters.get('serve.degraded', 0)}"
-            f"   mutations {counters.get('serve.mutations', 0)}"
-        )
+    shards = stats.get("shards", {})
+    # One stats schema for both planes; a coordinator's (it lists shards)
+    # spells its counters serve.cluster.*.
+    prefix = "serve.cluster" if shards else "serve"
+    line = f"requests {counters.get(f'{prefix}.requests', 0)}"
+    if previous is not None:
+        line += f" ({_rate(deltas.get(f'{prefix}.requests', 0), dt)})"
+    for label in ("computes", "coalesced", "shed", "degraded", "mutations"):
+        line += f"   {label} {counters.get(f'{prefix}.{label}', 0)}"
+    if shards:
+        line += f"   shard-lost {counters.get('serve.shard.lost', 0)}"
     lines.append(line)
 
     cache = stats.get("cache", {})
@@ -186,7 +173,6 @@ def render_frame(
     if not slo.get("objectives"):
         lines.append("  (no objectives configured)")
 
-    shards = stats.get("shards", {})
     if shards:
         # Coordinator frame (`repro serve --cluster` / `repro coordinator`):
         # one row per shard endpoint, plus the cluster-level fan-out counters.

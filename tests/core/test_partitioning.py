@@ -91,6 +91,11 @@ class TestDimensional:
         p = DimensionalPartitioner(4).fit(pts)
         assert p.assign(np.array([[100.0, 0.0]])).tolist() == [3]
 
+    def test_inf_and_huge_values_land_in_last_slab(self):
+        p = DimensionalPartitioner(4).fit(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        far = np.array([[1.7e308, 0.0], [np.inf, 0.0], [-np.inf, 0.0]])
+        assert p.assign(far).tolist() == [3, 3, 0]
+
     def test_all_zero_column(self):
         pts = np.zeros((10, 2))
         p = DimensionalPartitioner(4).fit(pts)
@@ -228,6 +233,22 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p.assign(pts)
+
+    def test_inf_and_huge_values_land_in_last_cell(self):
+        # inf -> int64 casts to INT64_MIN on x86, which used to clip these
+        # rows to cell 0; the last cell is the one that holds them.
+        p = GridPartitioner(4, cells_per_dim=[2, 2]).fit(
+            np.array([[0.0, 0.0], [1.0, 1.0]])
+        )
+        far = np.array([[1.7e308, 1.0], [np.inf, 1.0], [1.0, np.inf]])
+        assert p._cell_coords(far).tolist() == [[1, 1], [1, 1], [1, 1]]
+        assert p.assign(far).tolist() == [3, 3, 3]
+
+    def test_degenerate_axis_takes_inf_without_warning(self):
+        p = GridPartitioner(4, cells_per_dim=[2, 2]).fit(
+            np.array([[0.0, 0.0], [0.0, 1.0]])
+        )
+        assert p.assign(np.array([[np.inf, np.inf]])).tolist() == [1]
 
     def test_quantile_pruning_still_sound(self):
         from repro.core.skyline import skyline_numpy

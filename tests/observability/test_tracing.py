@@ -1,6 +1,8 @@
 """Tests for repro.observability.tracing."""
 
 import io
+import sys
+import threading
 
 import pytest
 
@@ -67,6 +69,66 @@ class TestSpanNesting:
                     pass
             ids.append([(s.trace_id, s.span_id, s.parent_id) for s in tracer.finished])
         assert ids[0] == ids[1]
+
+
+class TestThreadSafety:
+    def test_concurrent_threads_get_unique_ids_and_own_parents(self):
+        """A 1 us switch interval forces preemption between id allocation
+        and stack pushes; every id must stay unique and every child must
+        parent under a span its own thread opened."""
+        tracer = Tracer(keep_spans=True)
+        opened = {}  # span_id -> opening thread
+        opened_lock = threading.Lock()
+        start = threading.Barrier(6)
+
+        def worker():
+            start.wait()
+            for _ in range(300):
+                with tracer.span("request", kind="serve") as outer:
+                    with tracer.span("compute", kind="serve") as inner:
+                        detached = tracer.start_span("leg")
+                        tracer.end_span(detached)
+                with opened_lock:
+                    for span in (outer, inner, detached):
+                        opened[span.span_id] = threading.get_ident()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+
+        spans = tracer.finished
+        assert len(spans) == 6 * 300 * 3
+        ids = [s.span_id for s in spans]
+        assert len(set(ids)) == len(ids), "duplicate span ids"
+        roots = [s for s in spans if s.parent_id is None]
+        assert len({s.trace_id for s in roots}) == len(roots)
+        for span in spans:
+            if span.name == "request":
+                assert span.parent_id is None
+            else:
+                assert span.parent_id is not None
+                assert opened[span.parent_id] == opened[span.span_id], (
+                    f"{span.name} parented under another thread's span"
+                )
+
+    def test_current_span_is_per_thread(self):
+        tracer = Tracer()
+        seen = []
+        with tracer.span("main"):
+            thread = threading.Thread(
+                target=lambda: seen.append(tracer.current_span())
+            )
+            thread.start()
+            thread.join()
+            assert tracer.current_span() is not None
+        assert seen == [None]
 
 
 class TestClocks:

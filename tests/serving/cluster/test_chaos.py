@@ -97,7 +97,7 @@ class TestKilledShard:
                 # Monotone generations, even hearing from fewer shards.
                 assert all(
                     new >= old
-                    for new, old in zip(hurt.generations, full.generations)
+                    for new, old in zip(hurt.generation, full.generation)
                 )
 
                 counters = get_metrics().snapshot()["counters"]

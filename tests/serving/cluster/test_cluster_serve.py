@@ -18,7 +18,6 @@ import pytest
 
 from repro.serving.client import ServingClient
 from repro.serving.cluster import ClusterCoordinator, LocalCluster
-from repro.serving.cluster.protocol import handle_cluster_request
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.top import collect_sample, render_frame
 from tests.serving.harness import spawn_server, subprocess_env, tcp_server
@@ -143,9 +142,7 @@ class TestTopClusterFrame:
                 )
                 assert hurt.degraded
 
-                with tcp_server(
-                    coordinator, handler=handle_cluster_request
-                ) as (host, port):
+                with tcp_server(coordinator) as (host, port):
                     with ServingClient.connect(host, port) as client:
                         sample = collect_sample(client)
 

@@ -107,7 +107,7 @@ def test_cache_hits_at_stable_generation_vector(cluster):
         warm = coordinator.query(spec)
         assert not cold.cache_hit and warm.cache_hit
         assert warm.ids == cold.ids
-        assert warm.generations == cold.generations
+        assert warm.generation == cold.generation
 
         coordinator.insert("diff", [0.001, 0.001, 0.001])
         invalidated = coordinator.query(spec)

@@ -122,10 +122,10 @@ def test_random_interleavings_match_model(cluster, schedule):
             elif step == "repeat" and last_answer is not None:
                 kind, ids, at_gvec = last_answer
                 again = coordinator.query(_spec(dataset, kind))
-                if again.generations == at_gvec:
+                if again.generation == at_gvec:
                     assert again.cache_hit, "stable gvec must hit the cache"
                     assert again.ids == ids
-                new_gvec = again.generations
+                new_gvec = again.generation
             else:
                 kind = step if step != "repeat" else "skyline"
                 spec = _spec(dataset, kind)
@@ -134,8 +134,8 @@ def test_random_interleavings_match_model(cluster, schedule):
                 assert response.ids == _model_answer(model, spec), (
                     kind, shard_fn, model
                 )
-                last_answer = (kind, response.ids, response.generations)
-                new_gvec = response.generations
+                last_answer = (kind, response.ids, response.generation)
+                new_gvec = response.generation
 
             assert len(new_gvec) == len(gvec)
             assert all(

@@ -21,6 +21,7 @@ import pytest
 from repro.observability.metrics import get_metrics
 from repro.serving.cluster import ClusterConfig, ClusterCoordinator, LocalCluster
 from repro.serving.queries import QuerySpec
+from repro.serving.service import ServeConfig
 
 DATASET = "fleet"
 DIMS = 3
@@ -44,10 +45,13 @@ def _specs():
     ]
 
 
-def _config():
+def _configs():
     # cache_entries=0: every query is a real fan-out, so post-restart
     # answers come from the recovered shard, not the coordinator cache.
-    return ClusterConfig(shard_timeout_s=5.0, cache_entries=0)
+    return {
+        "config": ClusterConfig(shard_timeout_s=5.0),
+        "serve_config": ServeConfig(cache_entries=0),
+    }
 
 
 def _answers(coordinator):
@@ -55,7 +59,7 @@ def _answers(coordinator):
     for spec in _specs():
         response = coordinator.query(spec)
         assert not response.degraded, (spec.kind, response.missing_shards)
-        out[spec.kind] = (response.ids, response.generations)
+        out[spec.kind] = (response.ids, response.generation)
     return out
 
 
@@ -76,7 +80,7 @@ class TestRestartContinuity:
     def test_recovered_shard_answers_id_for_id(self, tmp_path):
         rows = _points()
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with ClusterCoordinator(fleet.addresses(), **_configs()) as coord:
                 gvec = coord.register(DATASET, rows, shard_fn="angle")
                 assert gvec == (1, 1)
                 inserted = [
@@ -106,7 +110,7 @@ class TestRestartContinuity:
     def test_both_shards_survive_sequential_restarts(self, tmp_path):
         rows = _points(seed=12)
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with ClusterCoordinator(fleet.addresses(), **_configs()) as coord:
                 coord.register(DATASET, rows, shard_fn="angle")
                 coord.insert(DATASET, [0.015] * DIMS)
                 pre = _answers(coord)
@@ -121,7 +125,7 @@ class TestGenerationRegression:
     def test_rolled_back_shard_is_quarantined_not_merged(self, tmp_path):
         rows = _points(seed=13)
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with ClusterCoordinator(fleet.addresses(), **_configs()) as coord:
                 coord.register(DATASET, rows, shard_fn="angle")
                 wal_paths = [
                     os.path.join(
@@ -135,7 +139,7 @@ class TestGenerationRegression:
                 # pristine WAL image knows nothing about.
                 victim = coord.insert(DATASET, [0.03] * DIMS)[1].index(2)
                 pre = coord.query(QuerySpec(dataset=DATASET))
-                observed_gvec = pre.generations
+                observed_gvec = pre.generation
 
                 # Crash the victim and roll its WAL back to the pre-insert
                 # image: the restarted shard recovers at generation 1 while
@@ -163,4 +167,4 @@ class TestGenerationRegression:
                         "regressed shard never reached the quarantine path"
                     )
                 # The placement's max-merge gvec holds its ground.
-                assert response.generations == observed_gvec
+                assert response.generation == observed_gvec

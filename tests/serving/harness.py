@@ -9,8 +9,8 @@ this module is the one copy:
 * :func:`spawn_server` — ``repro serve`` (or ``repro serve --cluster N``)
   as a subprocess driven over stdio pipes;
 * :func:`tcp_server` — a context-managed loopback
-  :func:`~repro.serving.server.make_tcp_server` (optionally with a custom
-  request handler, e.g. the cluster coordinator's);
+  :func:`~repro.serving.server.make_tcp_server` over a service or a
+  cluster coordinator;
 * :func:`wait_for_port` — poll until an address accepts connections;
 * :func:`scripted_session` — the canonical register / query / warm-hit /
   insert / invalidated-re-query storyline;
@@ -62,14 +62,11 @@ def spawn_server(*serve_args: str, **popen_kwargs: Any) -> ServingClient:
 
 
 @contextmanager
-def tcp_server(service: Any, *, handler: Any = None) -> Iterator[Tuple[str, int]]:
+def tcp_server(service: Any) -> Iterator[Tuple[str, int]]:
     """A serving TCP server on a free loopback port, torn down on exit."""
     from repro.serving.server import make_tcp_server
 
-    if handler is None:
-        server = make_tcp_server(service)
-    else:
-        server = make_tcp_server(service, handler=handler)
+    server = make_tcp_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
