@@ -155,17 +155,14 @@ def _cluster_traffic(
     vector then pays only the pruned wire cost.
     """
     from repro.data.generators import correlated
-    from repro.serving.cluster import (
-        ClusterConfig,
-        ClusterCoordinator,
-        LocalCluster,
-    )
+    from repro.serving.cluster import ClusterCoordinator, LocalCluster
     from repro.serving.queries import QuerySpec
+    from repro.serving.service import ServeConfig
 
     matrix = correlated(n, d, seed=7)
     with LocalCluster(3) as cluster:
         coordinator = ClusterCoordinator(
-            cluster.addresses(), config=ClusterConfig(kernel=kernel)
+            cluster.addresses(), serve_config=ServeConfig(kernel=kernel)
         )
         try:
             coordinator.register("bench", matrix, shard_fn="angle")

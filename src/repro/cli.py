@@ -711,9 +711,7 @@ def _serve_cluster(
         print(f"serve: --cluster must be >= 1, got {args.cluster}",
               file=sys.stderr)
         return 2
-    cluster_config = ClusterConfig(
-        kernel=args.kernel, shard_timeout_s=args.shard_timeout_s
-    )
+    cluster_config = ClusterConfig(shard_timeout_s=args.shard_timeout_s)
     if args.filter_k is not None:
         cluster_config.filter_k = args.filter_k
     try:
@@ -800,7 +798,6 @@ def _run_coordinator(argv: List[str]) -> int:
     from repro.serving.service import ServeConfig
 
     config = ClusterConfig(
-        kernel=args.kernel,
         shard_timeout_s=args.shard_timeout_s,
         connect_timeout_s=args.connect_timeout_s,
     )
@@ -812,14 +809,13 @@ def _run_coordinator(argv: List[str]) -> int:
         kernel=args.kernel,
     )
     try:
-        config.validate()
-        serve_config.validate()
+        # Validates both configs and every shard address; dials nothing.
+        coordinator = ClusterCoordinator(
+            args.shards, config=config, serve_config=serve_config
+        )
     except ValueError as exc:
         print(f"coordinator: {exc}", file=sys.stderr)
         return 2
-    coordinator = ClusterCoordinator(
-        args.shards, config=config, serve_config=serve_config
-    )
     try:
         return _serve_loop(
             coordinator,

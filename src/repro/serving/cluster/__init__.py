@@ -1,15 +1,9 @@
 """Sharded multi-node serving (``docs/cluster.md``).
 
-A :class:`ClusterCoordinator` is the request plane
-(:class:`~repro.serving.service.SkylineService`) over N ordinary
-``repro serve`` shard servers: each dataset is a :class:`ShardedDataset`
-placed across shards via a :class:`ShardMap` (whole-dataset or
-partitioner-keyed with the paper's schemes as shard functions); queries
-fan out as filter-pruned ``shard_query`` legs and merge exactly through
-the kernel seam, writes route to the owning shard and advance per-shard
-generation vectors, and shard loss degrades to a partial answer instead
-of failing.  :class:`LocalCluster` boots the whole topology in-process
-over real loopback sockets for tests and ``repro serve --cluster N``.
+A :class:`ClusterCoordinator` is the request plane over N ``repro serve``
+shard servers, with one :class:`ShardedDataset` backend per dataset (see
+:mod:`repro.serving.cluster.coordinator`).  :class:`LocalCluster` boots
+the whole topology in-process over loopback sockets.
 """
 
 from repro.serving.cluster.coordinator import (

@@ -75,11 +75,10 @@ class ClusterUnavailableError(ServiceUnavailableError):
 
 @dataclass(slots=True)
 class ClusterConfig:
-    """Fan-out knobs of a coordinator.  Admission, cache size, deadlines
-    and SLOs are the request plane's (:class:`ServeConfig`)."""
+    """Fan-out knobs of a coordinator.  Admission, cache size, deadlines,
+    SLOs and the dominance kernel of merges and filter selection are the
+    request plane's (:class:`ServeConfig`)."""
 
-    #: Dominance backend for merges and filter selection.
-    kernel: str | None = None
     #: Broadcast filter-set size (0 disables wire pruning).
     filter_k: int = DEFAULT_FILTER_K
     #: Per-leg socket budget for queries and small writes.
@@ -214,7 +213,7 @@ class ShardedDataset:
     def describe(self) -> Dict[str, Any]:
         """The store row of ``stats`` plus the placement: the generation
         is the vector's sum, the vector itself is ``generations``."""
-        kernel = get_kernel(self._coordinator.cluster_config.kernel).name
+        kernel = get_kernel(self._coordinator.config.kernel).name
         with self._lock:
             gvec = self.placement.generation_vector()
             return {
@@ -225,6 +224,10 @@ class ShardedDataset:
                 "shard_fn": self.placement.shard_fn,
                 "shards": len(self.placement.shard_ids),
             }
+
+    def register_fields(self) -> Dict[str, Any]:
+        """What a ``register`` response reports beyond the generation."""
+        return self._coordinator.ping_fields()
 
     def shard_of(self, point_id: int) -> int:
         with self._lock:
@@ -276,9 +279,12 @@ class ShardedDataset:
             )
             with self._lock:
                 self.placement.observe_generation(shard, response["generation"])
-        config = self._coordinator.cluster_config
-        if config.filter_k and rows is not None and rows.shape[0]:
-            flt = compute_filter_points(rows, k=config.filter_k, kernel=config.kernel)
+        coordinator = self._coordinator
+        filter_k = coordinator.cluster_config.filter_k
+        if filter_k and rows is not None and rows.shape[0]:
+            flt = compute_filter_points(
+                rows, k=filter_k, kernel=coordinator.config.kernel
+            )
             with self._lock:
                 self._filters = (self.placement.generation_vector(), flt)
 
@@ -320,7 +326,8 @@ class ShardedDataset:
         owning shard raises :class:`ClusterUnavailableError`.
         """
         coordinator = self._coordinator
-        config = coordinator.cluster_config
+        filter_k = coordinator.cluster_config.filter_k
+        kernel = coordinator.config.kernel
         metrics = get_metrics()
         deadline = (
             None if remaining_s is None
@@ -378,7 +385,7 @@ class ShardedDataset:
                 "and no stale answer cached",
                 missing=lost,
             )
-        ids, rows = merge_candidates(spec, mapped, kernel=config.kernel)
+        ids, rows = merge_candidates(spec, mapped, kernel=kernel)
         metrics.counter("serve.cluster.points_held").inc(
             sum(ans["held"] for ans in answers.values())
         )
@@ -403,8 +410,8 @@ class ShardedDataset:
                 query=spec.kind,
                 missing=sorted(lost),
             )
-        elif consistent and config.filter_k and spec.kind == "skyline" and len(ids):
-            flt = compute_filter_points(rows, k=config.filter_k, kernel=config.kernel)
+        elif consistent and filter_k and spec.kind == "skyline" and len(ids):
+            flt = compute_filter_points(rows, k=filter_k, kernel=kernel)
             with self._lock:
                 self._filters = (new_gvec, flt)
         return Answer(new_gvec, ids, consistent, tuple(sorted(lost)))
@@ -433,34 +440,24 @@ class ShardedDataset:
         threads: List[Tuple[int, threading.Thread]] = []
 
         def leg(shard: int, timeout_s: float | None) -> None:
-            leg_span = tracer.start_span(
-                "serve.shard.call", kind="serve", parent=parent_span,
-                shard=shard, dataset=spec.dataset, query=spec.kind,
-            )
-            leg_status = "ok"
+            outcome: Tuple[str, Any]
             try:
-                response = coordinator._call_shard(
-                    spec.dataset, shard, timeout_s, request
-                )
-                if response.get("ok"):
-                    with results_lock:
-                        results[shard] = ("ok", response)
-                    leg_span.set_attrs(sent=response.get("sent"))
-                else:
-                    leg_status = "error"
-                    reason = str(
-                        response.get("error")
-                        or response.get("reason")
-                        or "rejected"
+                with tracer.span(
+                    "serve.shard.call", kind="serve", parent=parent_span,
+                    shard=shard, dataset=spec.dataset, query=spec.kind,
+                ) as leg_span:
+                    response = coordinator._call_shard(
+                        spec.dataset, shard, timeout_s, request
                     )
-                    with results_lock:
-                        results[shard] = ("lost", reason)
+                    if not response.get("ok"):
+                        reason = response.get("error") or response.get("reason")
+                        raise ShardLostError(shard, str(reason or "rejected"))
+                    leg_span.set_attrs(sent=response.get("sent"))
+                outcome = ("ok", response)
             except ShardLostError as exc:
-                leg_status = "error"
-                with results_lock:
-                    results[shard] = ("lost", exc.reason)
-            finally:
-                tracer.end_span(leg_span, status=leg_status)
+                outcome = ("lost", exc.reason)
+            with results_lock:
+                results[shard] = outcome
 
         def remaining() -> float | None:
             if deadline is None:
@@ -516,8 +513,7 @@ class ClusterCoordinator(SkylineService):
     """The request plane over N ``repro serve`` shard servers.
 
     ``config`` holds the fan-out knobs; ``serve_config`` the plane's
-    admission, cache, deadline and SLO knobs (its default takes the
-    cluster kernel).
+    admission, cache, deadline, SLO and kernel knobs.
     """
 
     metric_prefix = "serve.cluster"
@@ -534,10 +530,7 @@ class ClusterCoordinator(SkylineService):
             raise ValueError("a cluster needs at least one shard endpoint")
         self.cluster_config = config or ClusterConfig()
         self.cluster_config.validate()
-        super().__init__(
-            serve_config or ServeConfig(kernel=self.cluster_config.kernel),
-            clock=clock,
-        )
+        super().__init__(serve_config, clock=clock)
         self._endpoints = [
             ShardEndpoint(
                 i, *_parse_endpoint(spec),
@@ -646,6 +639,9 @@ class ClusterCoordinator(SkylineService):
             )
 
     # -- introspection ----------------------------------------------------------
+
+    def ping_fields(self) -> Dict[str, Any]:
+        return {"shards": self.num_shards}
 
     def _shard_table(self) -> Dict[str, Dict[str, Any]]:
         participation: Dict[int, int] = {}

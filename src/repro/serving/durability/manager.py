@@ -129,9 +129,20 @@ class DatasetLog:
 
     # -- mutation records (call sites must hold the owning store's lock) --------
 
-    def log_register(self, store_config: Dict[str, Any]) -> int:
-        """Record a (re-)registration: fresh store, construction config."""
-        return self.append_record({"op": "register", "config": store_config})
+    def log_register(
+        self,
+        store_config: Dict[str, Any],
+        rows: Sequence[Sequence[float]] | None = None,
+    ) -> int:
+        """Record a (re-)registration — fresh store, construction config —
+        and its initial ``rows`` as a ``bulk`` record, all-or-nothing: a
+        register record alone would reset the dataset on replay."""
+        payloads = [{"op": "register", "config": store_config}]
+        if rows is not None:
+            payloads.append({"op": "bulk", "rows": [[float(v) for v in row] for row in rows]})
+        seqs = self.wal.append_records(payloads)
+        self._since_checkpoint += len(seqs)
+        return seqs[0]
 
     def log_insert(self, row: Sequence[float]) -> int:
         return self.append_record({"op": "insert", "row": [float(v) for v in row]})

@@ -40,7 +40,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple, Sequence
 
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics
@@ -221,21 +221,29 @@ class WriteAheadLog:
     # -- writes -----------------------------------------------------------------
 
     def append_record(self, payload: Dict[str, Any]) -> int:
-        """Frame and append one record; returns its sequence number.
+        return self.append_records([payload])[0]
 
-        The payload's ``"seq"`` field is assigned here; callers pass the
-        mutation fields only.  Durability of the returned seq depends on
-        the fsync policy (see the module docstring).
+    def append_records(self, payloads: Sequence[Dict[str, Any]]) -> List[int]:
+        """Frame and append records all-or-nothing; returns their seqs.
+
+        Each payload's ``"seq"`` field is assigned here; callers pass the
+        mutation fields only.  Every frame is encoded (and size-checked)
+        before the first byte is written, so a :class:`RecordTooLargeError`
+        leaves the log as it was.  Durability of the returned seqs depends
+        on the fsync policy (see the module docstring).
         """
         if self._closed:
             raise ValueError(f"write-ahead log {self.path} is closed")
-        seq = self._next_seq
-        framed = encode_record({**payload, "seq": seq})
+        first = self._next_seq
+        framed = b"".join(
+            encode_record({**payload, "seq": first + i})
+            for i, payload in enumerate(payloads)
+        )
         self._fh.write(framed)
-        self._next_seq = seq + 1
-        self._unsynced += 1
+        self._next_seq = first + len(payloads)
+        self._unsynced += len(payloads)
         metrics = get_metrics()
-        metrics.counter("wal.appends").inc()
+        metrics.counter("wal.appends").inc(len(payloads))
         metrics.counter("wal.bytes_written").inc(len(framed))
         if self.fsync_policy == "always":
             self._do_sync()
@@ -243,7 +251,7 @@ class WriteAheadLog:
             self._do_sync()
         else:
             self._fh.flush()
-        return seq
+        return list(range(first, self._next_seq))
 
     def sync(self) -> None:
         """Force everything appended so far onto stable storage."""

@@ -24,11 +24,12 @@ coordinator with the per-shard ``generations`` vector (plus
     generation, ``cache_hit``, ``degraded``, ``status`` (and
     ``coalesced`` on a single node, ``missing_shards`` on a coordinator).
 ``shard_query``
-    The cluster fan-out leg (``docs/cluster.md``): like ``query`` but the
-    response carries candidate ``rows`` alongside ``ids`` plus traffic
-    accounting (``held`` / ``candidates`` / ``sent``), and an optional
-    ``filters`` row list prunes dominated candidates before they cross
-    the wire.
+    The cluster fan-out leg (``docs/cluster.md``), answered by a shard:
+    like ``query`` but the response carries candidate ``rows`` alongside
+    ``ids`` plus traffic accounting (``held`` / ``candidates`` /
+    ``sent``), and an optional ``filters`` row list prunes dominated
+    candidates before they cross the wire.  A coordinator refuses it
+    with an error response (its datasets are sharded).
 ``insert`` / ``remove``
     Point mutations; responses carry the new generation (and the
     assigned ``id`` for inserts).
@@ -111,20 +112,21 @@ def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[s
         num_partitions=int(request.get("partitions", 8)),
         shard_fn=str(shard_fn) if shard_fn is not None else None,
     )
-    response = {"ok": True, "dataset": dataset, **generation_field(generation)}
-    if service.num_shards is None:
-        response["size"] = len(service.store(dataset))
-    else:
-        response["shards"] = service.num_shards
-    return response
+    return {
+        "ok": True,
+        "dataset": dataset,
+        **generation_field(generation),
+        **service.store(dataset).register_fields(),
+    }
+
+
+def _deadline_s(request: Dict[str, Any]) -> float | None:
+    deadline = request.get("deadline_s")
+    return float(deadline) if deadline is not None else None
 
 
 def _handle_query(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
-    spec = parse_query_spec(request)
-    deadline = request.get("deadline_s")
-    response = service.query(
-        spec, deadline_s=float(deadline) if deadline is not None else None
-    )
+    response = service.query(parse_query_spec(request), deadline_s=_deadline_s(request))
     return {"ok": True, **response.to_dict()}
 
 
@@ -139,12 +141,11 @@ def _handle_shard_query(
     they dominate never cross the wire.
     """
     spec = parse_query_spec(request)
-    deadline = request.get("deadline_s")
     filters = request.get("filters")
     payload = service.shard_candidates(
         spec,
         filters=np.asarray(filters, dtype=np.float64) if filters else None,
-        deadline_s=float(deadline) if deadline is not None else None,
+        deadline_s=_deadline_s(request),
     )
     return {"ok": True, "dataset": spec.dataset, "kind": spec.kind, **payload}
 
@@ -225,10 +226,12 @@ def handle_request(
         if op == "metrics":
             return _handle_metrics(service, request)
         if op == "ping":
-            pong = {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
-            if service.num_shards is not None:
-                pong["shards"] = service.num_shards
-            return pong
+            return {
+                "ok": True,
+                "pong": True,
+                "version": PROTOCOL_VERSION,
+                **service.ping_fields(),
+            }
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "status": "error", "error": f"unknown op {op!r}"}

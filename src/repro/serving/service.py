@@ -110,6 +110,9 @@ class Backend(Protocol):
     def describe(self) -> Dict[str, Any]:
         """The per-dataset row of the ``stats`` op."""
 
+    def register_fields(self) -> Dict[str, Any]:
+        """What a ``register`` response reports beyond the generation."""
+
 
 @dataclass(slots=True)
 class ServeConfig:
@@ -126,7 +129,9 @@ class ServeConfig:
     #: Shed path: serve the newest stale cached answer (``degraded=True``)
     #: instead of rejecting, when one exists.
     stale_on_overload: bool = True
-    #: Bulk loads at or above this many rows run the MapReduce pipeline.
+    #: Bulk loads at or above this many rows run the MapReduce pipeline
+    #: (this and the next two apply to local stores; a coordinator's
+    #: shards bulk-load under their own flags).
     mr_bulk_threshold: int = DEFAULT_MR_BULK_THRESHOLD
     #: Workers / executor for MR bulk loads of registered datasets.
     num_workers: int = 2
@@ -249,8 +254,6 @@ class SkylineService:
 
     #: Prefix of every metric, span and event the plane emits.
     metric_prefix = "serve"
-    #: Shard servers behind the plane (``None``: a single node).
-    num_shards: int | None = None
 
     def __init__(
         self,
@@ -345,16 +348,13 @@ class SkylineService:
             executor=self.config.executor,
             kernel=self.config.kernel,
         )
-        if self.durability is not None:
-            # WAL-before-apply, from the very first byte: the register
-            # record (carrying the construction config) lands before the
-            # initial load's bulk record, so replay rebuilds the store
-            # with the same parameters, then the same data.
-            log = self.durability.dataset_log(name)
-            store.attach_durability(log)
-            log.log_register(store.store_config())
         if points is not None:
             store.bulk_load(points)
+        if self.durability is not None:
+            # Nothing is acknowledged before the register and bulk records
+            # are logged, together or not at all; replay rebuilds the
+            # store with the same parameters, then the same data.
+            store.log_registration(self.durability.dataset_log(name), points)
         return store
 
     def adopt_store(self, name: str, store: Backend) -> Any:
@@ -408,7 +408,6 @@ class SkylineService:
                 return self._backends[name]
             except KeyError:
                 raise UnknownDatasetError(name) from None
-
     # -- mutations --------------------------------------------------------------
 
     def insert(
@@ -428,15 +427,6 @@ class SkylineService:
             generation = self.store(dataset).remove(point_id)
         get_metrics().counter(self._name("mutations")).inc()
         return generation
-
-    def bulk_load(self, dataset: str, points: np.ndarray) -> Tuple[List[int], int]:
-        """Bulk-insert into a local store; returns ``(new point ids, new
-        generation)``."""
-        with get_tracer().span(self._name("mutation"), kind="serve",
-                               dataset=dataset, op="bulk_load"):
-            result = self.store(dataset).bulk_load(points)
-        get_metrics().counter(self._name("mutations")).inc()
-        return result
 
     # -- the serve path ---------------------------------------------------------
 
@@ -709,23 +699,22 @@ class SkylineService:
         before it crosses the wire (:func:`~repro.serving.queries.candidate_prune_mask`).
 
         The serve path and the snapshot are two lock acquisitions, so a
-        racing mutation can slip between them; the answer re-runs (bounded)
+        racing mutation can slip between them; the pair re-runs (bounded)
         until the generations agree, falling back to a direct
         :func:`~repro.serving.queries.evaluate` over the snapshot.  The
         returned ``generation`` is therefore always the generation the ids
         and rows are mutually consistent at.
         """
         metrics = get_metrics()
-        response = self.query(spec, deadline_s=deadline_s)
         store = self.store(spec.dataset)
-        snap = store.snapshot()
-        for _ in range(3):
-            if snap.generation == response.generation and not response.degraded:
-                break
+        if not isinstance(store, SkylineStore):  # a coordinator's dataset
+            raise ValueError(f"shard_query needs a local dataset; {spec.dataset!r} is sharded")
+        for _ in range(4):
             response = self.query(spec, deadline_s=deadline_s)
             snap = store.snapshot()
-        if snap.generation == response.generation and not response.degraded:
-            ids = [int(i) for i in response.ids]
+            if snap.generation == response.generation and not response.degraded:
+                ids = [int(i) for i in response.ids]
+                break
         else:
             ids = evaluate(spec, snap.ids, snap.rows)
         rows = snap.rows_of(ids)
@@ -762,6 +751,11 @@ class SkylineService:
 
     def _shard_table(self) -> Dict[str, Dict[str, Any]]:
         """Per-shard rows of ``stats`` (none on a single node)."""
+        return {}
+
+    def ping_fields(self) -> Dict[str, Any]:
+        """What a ``ping`` response reports beyond liveness (nothing on a
+        single node)."""
         return {}
 
     def stats(self) -> Dict[str, Any]:

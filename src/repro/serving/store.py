@@ -171,6 +171,10 @@ class SkylineStore:
         """The per-dataset row of the ``stats`` op."""
         return {"size": len(self), "generation": self.generation, "kernel": self.kernel_name}
 
+    def register_fields(self) -> Dict[str, Any]:
+        """What a ``register`` response reports beyond the generation."""
+        return {"size": len(self)}
+
     # -- mutations --------------------------------------------------------------
 
     def insert(self, point: Sequence[float] | np.ndarray) -> Tuple[int, int]:
@@ -273,6 +277,18 @@ class SkylineStore:
         """
         with self._lock:
             self._durability = log
+
+    def log_registration(self, log: "DatasetLog", rows: np.ndarray | None) -> None:
+        """Log this still-private store's registration and initial
+        ``rows`` (all-or-nothing), then write through ``log``.  If the
+        append raises, nothing was written or acknowledged."""
+        with self._lock:
+            log.log_register(
+                self.store_config(),
+                None if rows is None else validate_points(rows).tolist(),
+            )
+            self._durability = log
+            self._maybe_checkpoint()
 
     def restore_members(
         self,

@@ -14,12 +14,11 @@ import pytest
 
 from repro.serving.cluster import (
     SHARD_FUNCTIONS,
-    ClusterConfig,
     ClusterCoordinator,
     LocalCluster,
 )
 from repro.serving.queries import QuerySpec
-from repro.serving.service import SkylineService
+from repro.serving.service import ServeConfig, SkylineService
 
 SHARDS = 3
 
@@ -67,7 +66,7 @@ def test_all_kinds_match_single_node(cluster, shard_fn, kernel):
     single = SkylineService()
     single.register("diff", points)
     with ClusterCoordinator(
-        cluster.addresses(), config=ClusterConfig(kernel=kernel)
+        cluster.addresses(), serve_config=ServeConfig(kernel=kernel)
     ) as coordinator:
         dataset = f"diff-{shard_fn}-{kernel}"
         # Same dataset name on both sides keeps the specs shared.

@@ -136,3 +136,38 @@ class TestOneSchema:
             assert set(local["datasets"]["schema"]) <= set(cluster["datasets"]["schema"])
             assert local["shards"] == {} and len(cluster["shards"]) == 2
             assert cluster["latency"]["count"] >= 1
+
+
+class TestLocalOnlyOps:
+    """A coordinator's datasets are sharded: the shard-side verbs refuse
+    them with an error response instead of failing the session."""
+
+    def test_shard_query_to_a_coordinator_is_an_error_response(self, fleet):
+        with ClusterCoordinator(fleet.addresses()) as coordinator:
+            coordinator.register("lo", _points(20), shard_fn="hash")
+            computes_before = _counter("serve.cluster.computes")
+            response = handle_request(
+                coordinator, {"op": "shard_query", "dataset": "lo", "kind": "skyline"}
+            )
+            assert coordinator.query(QuerySpec(dataset="lo")).status == "ok"
+        assert response["ok"] is False and response["status"] == "error"
+        assert "sharded" in response["error"]
+        # Refused before any fan-out ran.
+        assert _counter("serve.cluster.computes") - computes_before == 1
+
+    def test_register_and_ping_fields_come_from_the_backend(self, fleet):
+        single = SkylineService()
+        local = handle_request(
+            single, {"op": "register", "dataset": "w", "points": _points(10).tolist()}
+        )
+        with ClusterCoordinator(fleet.addresses()) as coordinator:
+            cluster = handle_request(
+                coordinator,
+                {"op": "register", "dataset": "w", "points": _points(10).tolist()},
+            )
+            pong = handle_request(coordinator, {"op": "ping"})
+        assert local["size"] == 10 and "shards" not in local
+        assert cluster["shards"] == 2 and "size" not in cluster
+        assert cluster["generations"] and "generation" not in cluster
+        assert pong["shards"] == 2
+        assert "shards" not in handle_request(single, {"op": "ping"})

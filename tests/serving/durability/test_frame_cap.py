@@ -8,6 +8,8 @@ truncated on its promise, and recovery would fail.  These tests lower
 the cap so ordinary payloads cross it and check that:
 
 * an oversize mutation raises before it is applied or acknowledged;
+* an oversize (re-)registration writes nothing, so the dataset it would
+  have replaced keeps serving and recovers intact;
 * an explicit checkpoint raises before it truncates the WAL;
 * an automatic checkpoint that cannot fit is skipped, not failed;
 * recovery afterwards returns every acknowledged record, id-for-id.
@@ -27,6 +29,8 @@ from repro.serving.durability import (
     read_wal,
     wal,
 )
+from repro.serving.queries import QuerySpec
+from repro.serving.service import SkylineService
 from repro.serving.store import SkylineStore
 from tests.serving.durability.test_recovery import (
     DATASET,
@@ -92,6 +96,50 @@ class TestStoreMutations:
         assert answers_of(store) == before, "rejected bulk must not apply"
         store.insert([0.003] * DIMS)
         acknowledged = answers_of(store)
+        manager.close()
+
+        manager2, recovered, report = recover(data_dir)
+        assert not report.torn_tail
+        assert answers_of(recovered) == acknowledged
+        manager2.close()
+
+
+class TestRegistration:
+    """``SkylineService.register`` logs the register record and the
+    initial rows together or not at all: a register record alone would
+    reset the dataset on replay."""
+
+    def test_oversize_initial_register_leaves_no_dataset(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        manager = DurabilityManager(DurabilityConfig(data_dir, fsync="always"))
+        service = SkylineService(durability=manager)
+        big = np.random.default_rng(5).random((40, DIMS)) + 0.01
+        with pytest.raises(RecordTooLargeError):
+            service.register(DATASET, big, num_partitions=4)
+        assert service.datasets() == []
+        manager.close()
+
+        manager2, recovered, _report = recover(data_dir)
+        assert recovered is None, "a failed register must leave no dataset"
+        manager2.close()
+
+    def test_oversize_reregister_keeps_the_old_dataset(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        manager = DurabilityManager(DurabilityConfig(data_dir, fsync="always"))
+        service = SkylineService(durability=manager)
+        small = np.random.default_rng(6).random((5, DIMS)) + 0.01
+        service.register(DATASET, small, num_partitions=4)
+        old = service.store(DATASET)
+        apply_ops(old, 20)
+        big = np.random.default_rng(7).random((40, DIMS)) + 0.01
+        with pytest.raises(RecordTooLargeError):
+            service.register(DATASET, big, num_partitions=4)
+        assert service.store(DATASET) is old, "the old dataset must stay live"
+        # The old store still logs, and its later writes survive too.
+        service.insert(DATASET, [0.002] * DIMS)
+        acknowledged = answers_of(old)
+        served = service.query(QuerySpec(dataset=DATASET))
+        assert served.ids == acknowledged["skyline"]
         manager.close()
 
         manager2, recovered, report = recover(data_dir)

@@ -8,6 +8,7 @@ property test driving random insert/remove sequences through the store.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,10 +50,12 @@ class _History:
         )
 
 
-def _run_writer(store, history, steps, seed=1):
+def _run_writer(store, history, steps, seed=1, pause_s=0.0):
     rng = np.random.default_rng(seed)
     live = sorted(int(i) for i in store.snapshot().ids)
     for _ in range(steps):
+        if pause_s:
+            time.sleep(pause_s)
         if live and rng.random() < 0.4:
             victim = int(rng.choice(live))
             store.remove(victim)
@@ -153,7 +156,12 @@ class TestServiceStress:
         stop = threading.Event()
         answers_lock = threading.Lock()
 
+        # Readers are all looping before the writer starts, so its
+        # mutations' recomputes overlap live traffic.
+        started = threading.Barrier(7)
+
         def reader():
+            started.wait()
             while not stop.is_set():
                 try:
                     response = service.query(spec)
@@ -166,7 +174,10 @@ class TestServiceStress:
         threads = [threading.Thread(target=reader) for _ in range(6)]
         for t in threads:
             t.start()
-        _run_writer(store, history, steps=20)
+        started.wait()
+        # Pausing between mutations yields the GIL, so each recompute
+        # overlaps the readers instead of finishing within one time slice.
+        _run_writer(store, history, steps=20, pause_s=0.002)
         stop.set()
         for t in threads:
             t.join(timeout=30)
