@@ -408,6 +408,7 @@ class SkylineService:
                 return self._backends[name]
             except KeyError:
                 raise UnknownDatasetError(name) from None
+
     # -- mutations --------------------------------------------------------------
 
     def insert(
