@@ -3,9 +3,9 @@
 The algorithms in :mod:`repro.core` all reduce to the same handful of
 dominance operations: "does anything in this window dominate the point",
 "which window rows does the point evict", "which of these rows survive a
-filter set", "the skyline of this batch".  This module isolates those
-operations behind the :class:`DominanceKernel` seam — the dominance
-analogue of the PR-2 executor seam — with two backends:
+filter set", "the skyline (or k-skyband) of this batch".  This module
+isolates those operations behind the :class:`DominanceKernel` seam — the
+dominance analogue of the executor seam — with two backends:
 
 * :class:`ScalarKernel` (``"scalar"``) — the **reference**: point-at-a-time
   processing exactly as the algorithms have always done it (one candidate
@@ -20,9 +20,12 @@ analogue of the PR-2 executor seam — with two backends:
 The block backend's :meth:`~DominanceKernel.skyline` applies the
 Ciaccia–Martinenghi *sort-first* ordering (monotone entropy score with a
 full lexicographic tiebreak, the SFS invariant) before sweeping, so no
-point is ever evicted and one pass always suffices; the broadcast
-*filter-point* stage of the same paper lives in
-:mod:`repro.core.filtering` and calls :meth:`~DominanceKernel.filter_survivors`.
+point is ever evicted and one pass always suffices.  The shared
+:meth:`~DominanceKernel.skyband` op walks the same order in chunks, so a
+k-skyband needs only the candidates accepted so far, never the n×n
+dominance matrix.  The broadcast *filter-point* stage of the same paper
+lives in :mod:`repro.core.filtering` and calls
+:meth:`~DominanceKernel.filter_survivors`.
 
 Selection mirrors the executor seam: every entry point takes an optional
 ``kernel`` argument (a name or a ready instance), ``None`` resolves through
@@ -84,6 +87,12 @@ BLOCK_CHUNK = 1024
 #: accumulated skyline (memory stays O(BLOCK_CHUNK · WINDOW_CHUNK · d)).
 WINDOW_CHUNK = 1024
 
+#: Candidate-chunk rows per :meth:`DominanceKernel.skyband` step.  Each
+#: chunk ends in a full pairwise count over its live rows, which a
+#: k-dominator rule rarely thins first, so a ``BLOCK_CHUNK``-row chunk
+#: would bring back most of the dense n×n matrix at serving sizes.
+SKYBAND_CHUNK = 128
+
 #: Rows of the accumulated skyline tried before any full-width window pass.
 #: Sort-first order front-loads the strongest dominators, so this short
 #: prefix kills most of a candidate chunk at a fraction of the broadcast.
@@ -133,7 +142,11 @@ def sort_first_order(rows: np.ndarray) -> np.ndarray:
     """
     pts = validate_points(rows)
     d = pts.shape[1]
-    shifted = pts - pts.min(axis=0, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        shifted = pts - pts.min(axis=0, keepdims=True)
+    # ``-inf - -inf`` is NaN; those entries are their column's minimum, so
+    # 0 keeps the score monotone (NaN scores would sort last).
+    shifted[np.isnan(shifted)] = 0.0
     scores = np.log1p(shifted).sum(axis=1)
     keys = tuple(pts[:, j] for j in range(d - 1, -1, -1)) + (scores,)
     return np.lexsort(keys)
@@ -231,6 +244,89 @@ class DominanceKernel:
             if counter is not None:
                 counter.add(n * chunk.shape[0], stage)
         return counts
+
+    def skyband(
+        self,
+        rows: np.ndarray,
+        k: int,
+        *,
+        counter: DominanceCounter | None = None,
+        stage: str = "skyband",
+    ) -> np.ndarray:
+        """Ascending row indices of the k-skyband of ``rows`` (any order).
+
+        Rows dominated by fewer than ``k`` others, without the n×n count.
+        Rows are walked in :func:`sort_first_order`, so every row's
+        dominators come before it, in ``SKYBAND_CHUNK``-row chunks.  Only
+        skyband *candidates* (rows accepted so far) are kept, and a row is
+        rejected once ``k`` of them dominate it.  That is exact by
+        transitivity: a rejected row ``q`` that dominates ``p`` was itself
+        dominated by ``k`` candidates, which all dominate ``p`` too — so a
+        row with ``k`` or more dominators always meets ``k`` candidate
+        dominators, and the rest are never needed.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        pts = validate_points(rows)
+        n, d = pts.shape
+        if n == 0:
+            return np.empty(0, dtype=np.intp)
+        order = sort_first_order(pts)
+        pts = pts[order]
+        # A row holding both infinities sums to NaN; its pairs then take
+        # the exact tie path in _count_dominators_block.
+        with np.errstate(invalid="ignore"):
+            sums = pts.sum(axis=1)
+        keep = np.zeros(n, dtype=bool)
+        cand_buf = np.empty((n, d))
+        cand_sums = np.empty(n)
+        cand_len = 0
+        tests = 0
+        for start in range(0, n, SKYBAND_CHUNK):
+            stop = min(start + SKYBAND_CHUNK, n)
+            survivors = np.arange(stop - start)
+            surv = pts[start:stop]
+            surv_sums = sums[start:stop]
+            counts = np.zeros(stop - start, dtype=np.int64)
+            # Dominators among the accepted candidates first; a row leaves
+            # the working set as soon as its count reaches k.
+            for wstart in range(0, cand_len, WINDOW_CHUNK):
+                if survivors.size == 0:
+                    break
+                wstop = min(wstart + WINDOW_CHUNK, cand_len)
+                counts += _count_dominators_block(
+                    cand_buf[wstart:wstop],
+                    surv,
+                    cand_sums[wstart:wstop],
+                    surv_sums,
+                )
+                tests += (wstop - wstart) * surv.shape[0]
+                live = counts < k
+                if not live.all():
+                    survivors = survivors[live]
+                    surv = surv[live]
+                    surv_sums = surv_sums[live]
+                    counts = counts[live]
+            m = surv.shape[0]
+            if m > 1:
+                # Intra-chunk dominators among the rows still alive.  Every
+                # candidate of the chunk is alive here, and an alive row
+                # that is later rejected is a true dominator all the same,
+                # so the counts stay exact for the k-threshold test.
+                counts += _count_dominators_block(surv, surv, surv_sums, surv_sums)
+                tests += m * m
+                live = counts < k
+                survivors = survivors[live]
+                surv = surv[live]
+                surv_sums = surv_sums[live]
+                m = surv.shape[0]
+            keep[start + survivors] = True
+            cand_buf[cand_len : cand_len + m] = surv
+            cand_sums[cand_len : cand_len + m] = surv_sums
+            cand_len += m
+        if counter is not None:
+            counter.add(tests, stage)
+        return np.sort(order[keep]).astype(np.intp)
 
     # -- batch ops (backend-specific) ------------------------------------------
 
@@ -569,6 +665,31 @@ def _any_dominates_block(
         differs = (window[:, None, :] != chunk[cols][None, :, :]).any(axis=2)
         dominated[cols] = (ties[:, cols] & differs).any(axis=0)
     return dominated
+
+
+def _count_dominators_block(
+    window: np.ndarray,
+    chunk: np.ndarray,
+    wsum: np.ndarray,
+    csum: np.ndarray,
+) -> np.ndarray:
+    """Per ``chunk`` row: how many ``window`` rows dominate it.
+
+    The counting twin of :func:`_any_dominates_block`: the same
+    dimension-by-dimension ``≤`` accumulation and row-sum strictness test,
+    with the equal-sum pairs resolved exactly (they dominate iff the rows
+    differ, which also keeps a row from counting itself or its duplicates).
+    """
+    le = window[:, 0, None] <= chunk[None, :, 0]
+    for j in range(1, window.shape[1]):
+        le &= window[:, j, None] <= chunk[None, :, j]
+    strict = le & (wsum[:, None] < csum[None, :])
+    counts = strict.sum(axis=0)
+    wi, ci = np.nonzero(le & ~strict)
+    if wi.size:
+        differs = (window[wi] != chunk[ci]).any(axis=1)
+        counts += np.bincount(ci[differs], minlength=chunk.shape[0])
+    return counts
 
 
 _KERNELS: dict[str, DominanceKernel] = {

@@ -11,10 +11,16 @@ paper builds on (Papadias et al. define both alongside BBS):
   other points — a ranking flavour of dominance (not restricted to skyline
   members, though the top dominator always is one).
 
-The pairwise counting runs through the :mod:`repro.core.kernels` seam
+Both run through the :mod:`repro.core.kernels` seam.  The k-skyband is
+the kernels' sort-first window
+(:meth:`~repro.core.kernels.DominanceKernel.skyband`): it keeps only
+skyband candidates and rejects a point once ``k`` of them dominate it, so
+it never builds the n×n dominance matrix.  :func:`dominator_counts` (the
+exact per-point count, kept as the test oracle) and top-k dominating use
+the dense counting ops
 (:meth:`~repro.core.kernels.DominanceKernel.dominator_counts` /
-:meth:`~repro.core.kernels.DominanceKernel.dominated_counts`) — counts are
-exact integers, so every backend returns the same answers.
+:meth:`~repro.core.kernels.DominanceKernel.dominated_counts`).  Every
+backend returns the same answers.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ def k_skyband(
     points: np.ndarray,
     k: int,
     *,
-    block: int = 2048,
     counter: DominanceCounter | None = None,
     kernel: str | DominanceKernel | None = None,
 ) -> np.ndarray:
@@ -53,10 +58,7 @@ def k_skyband(
     ``k_skyband(points, 1)`` equals the skyline; skybands are nested in
     ``k`` (each is a superset of the previous).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    counts = dominator_counts(points, block=block, counter=counter, kernel=kernel)
-    return np.flatnonzero(counts < k).astype(np.intp)
+    return get_kernel(kernel).skyband(points, k, counter=counter, stage="skyband")
 
 
 def top_k_dominating(

@@ -73,7 +73,7 @@ def merge_candidates(
         order = np.argsort(cat_ids[keep], kind="stable")
         keep = keep[order]
         return [int(i) for i in cat_ids[keep]], cat_rows[keep]
-    merged = evaluate(spec, cat_ids, cat_rows)
+    merged = evaluate(spec, cat_ids, cat_rows, kernel=kernel)
     position = {int(pid): i for i, pid in enumerate(cat_ids.tolist())}
     rows = (
         cat_rows[[position[pid] for pid in merged]]

@@ -717,7 +717,7 @@ class SkylineService:
                 ids = [int(i) for i in response.ids]
                 break
         else:
-            ids = evaluate(spec, snap.ids, snap.rows)
+            ids = evaluate(spec, snap.ids, snap.rows, kernel=store.kernel_name)
         rows = snap.rows_of(ids)
         held = int(snap.ids.shape[0])
         candidates = len(ids)

@@ -164,7 +164,8 @@ class SkylineStore:
             generation, ids = self.skyline_snapshot()
         else:
             snap = self.snapshot()
-            generation, ids = snap.generation, evaluate(spec, snap.ids, snap.rows)
+            generation = snap.generation
+            ids = evaluate(spec, snap.ids, snap.rows, kernel=self._kernel)
         return Answer(generation, ids)
 
     def describe(self) -> Dict[str, Any]:

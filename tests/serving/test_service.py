@@ -5,8 +5,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.kernels import BlockKernel, ScalarKernel, set_default_kernel
 from repro.observability.metrics import get_metrics
 from repro.observability.tracing import Tracer, set_tracer
+from repro.serving.cluster.merge import merge_candidates
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.service import (
     QueryResponse,
@@ -315,6 +317,65 @@ class TestCoalescing:
             t.join(timeout=10)
         store.skyline_snapshot = original
         assert outcomes == ["partition state corrupted"] * 2
+
+
+class TestServingKernel:
+    """Skyband, constrained and subspace run on the service's kernel, not
+    on the process default."""
+
+    SPECS = (
+        (QuerySpec(dataset="qws", kind="skyband", k=3), "skyband"),
+        (
+            QuerySpec(
+                dataset="qws", kind="constrained",
+                lower=(0.1, 0.1, 0.1), upper=(0.9, 0.9, 0.9),
+            ),
+            "skyline",
+        ),
+        (QuerySpec(dataset="qws", kind="subspace", dims=(0, 2)), "skyline"),
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the kernel ops run, as ``(kernel, op)`` pairs."""
+        seen = []
+        for cls in (ScalarKernel, BlockKernel):
+            for op in ("skyline", "skyband"):
+                original = getattr(cls, op)
+
+                def spy(self, *args, _original=original, _op=op, **kwargs):
+                    seen.append((self.name, _op))
+                    return _original(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, op, spy)
+        previous = set_default_kernel("scalar")
+        yield seen
+        set_default_kernel(previous)
+
+    def test_block_service_in_scalar_process(self, calls):
+        service = _service(ServeConfig(kernel="block"), n=400)
+        assert service.stats()["kernel"] == "block"
+        snap = service.store("qws").snapshot()
+        for spec, op in self.SPECS:
+            expected = evaluate(spec, snap.ids, snap.rows)
+            calls.clear()
+            assert service.query(spec).ids == expected, spec.kind
+            assert ("block", op) in calls, (spec.kind, calls)
+            assert all(kernel == "block" for kernel, _ in calls), calls
+
+    def test_merge_candidates_uses_its_kernel(self, calls):
+        rows = _points(300)
+        ids = np.arange(300)
+        for spec, op in self.SPECS:
+            expected = evaluate(spec, ids, rows)
+            calls.clear()
+            merged, _ = merge_candidates(
+                spec,
+                [(ids[:150], rows[:150]), (ids[150:], rows[150:])],
+                kernel="block",
+            )
+            assert merged == expected, spec.kind
+            assert calls and all(kernel == "block" for kernel, _ in calls), calls
 
 
 class TestStats:
